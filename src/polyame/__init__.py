@@ -39,6 +39,9 @@ from .entropy import (
     verify_ame,
 )
 from .errors import (
+    BadStateFile,
+    InvalidCode,
+    InvalidCut,
     NoOppositeFace,
     NotNormalized,
     NotPrime,

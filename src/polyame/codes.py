@@ -10,18 +10,21 @@ path used for code states; it stays exact where dense vectors are infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import NotPrime, TooLarge, UnsupportedPrime
-from .gf import GfMatrix, is_prime, nullspace, rank, submatrix_columns
-from .states import StateVector
+from .errors import InvalidCode, InvalidCut, NotPrime, TooLarge, UnsupportedPrime
+from .gf import GfMatrix, eliminate, is_prime, nullspace, pack_rows, rank, rank2
+from .states import DENSE_BUDGET, StateVector
 
-# Guard for codeword enumeration (p^k) and dense vectors (p^n).
+# Guard for codeword enumeration (p^k); dense vectors (p^n) share the
+# package-wide DENSE_BUDGET.
 ENUM_BUDGET = 2**26
-DENSE_BUDGET = 2**26
+# Balanced cuts checked per vectorised elimination in is_ame_code.
+AME_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,24 @@ class LinearCodeState:
     gen: GfMatrix
 
     def __post_init__(self):
-        assert self.gen.p == self.p and self.gen.cols == self.n
-        assert rank(self.gen) == self.gen.rows, "generator rows must be independent"
+        if self.gen.p != self.p or self.gen.cols != self.n:
+            raise InvalidCode(
+                f"generator over GF({self.gen.p}) with {self.gen.cols} columns "
+                f"does not fit p = {self.p}, n = {self.n}"
+            )
+        if rank(self.gen) != self.gen.rows:
+            raise InvalidCode("generator rows must be independent")
 
     @property
     def k(self) -> int:
         return self.gen.rows
+
+    @cached_property
+    def columns(self) -> tuple:
+        """Generator columns as rank-kernel vectors: bit-packed ints for
+        p = 2, int tuples otherwise."""
+        gt = self.gen.a.T
+        return tuple(pack_rows(gt) if self.p == 2 else map(tuple, gt.tolist()))
 
 
 def from_parity_checks(h: GfMatrix) -> LinearCodeState:
@@ -80,20 +95,28 @@ def _check_enum_budget(cs: LinearCodeState) -> None:
 
 
 def codeword_blocks(cs: LinearCodeState, block: int = 1 << 16) -> Iterator[np.ndarray]:
-    """All p^k codewords as row blocks, messages in lexicographic order.
+    """All p^k codewords as blocks of at most `block` rows (at least one),
+    messages in lexicographic order.
 
-    Encoding uses float64 matmul (BLAS) with exact small-integer values, then
-    reduces mod p; entries stay far below 2^53.
+    The codewords of the low message digits are tabulated once; each block
+    is that table added, mod p, to the words of a few high-digit prefixes.
     """
     _check_enum_budget(cs)
-    p, k, total = cs.p, cs.k, cs.p**cs.k
-    gt = cs.gen.a.astype(np.float64)
-    place = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        msgs = (idx[:, None] // place[None, :]) % p
-        words = np.rint(msgs.astype(np.float64) @ gt).astype(np.int64) % p
-        yield words
+    p, k, g = cs.p, cs.k, cs.gen.a
+    low = 0
+    while low < k and p ** (low + 1) <= block:
+        low += 1
+    table = np.zeros((1, cs.n), dtype=np.int64)
+    for row in g[k - low :]:
+        table = ((table[:, None] + np.outer(np.arange(p), row)) % p).reshape(-1, cs.n)
+    high = g[: k - low]
+    place = p ** np.arange(k - low - 1, -1, -1, dtype=np.int64)
+    prefixes = p ** (k - low)
+    per = max(1, block // len(table))
+    for start in range(0, prefixes, per):
+        idx = np.arange(start, min(start + per, prefixes), dtype=np.int64)
+        heads = (idx[:, None] // place % p) @ high % p
+        yield ((heads[:, None, :] + table) % p).reshape(-1, cs.n)
 
 
 def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
@@ -119,14 +142,24 @@ def min_hamming_distance(cs: LinearCodeState) -> int:
     return best
 
 
+def _column_rank(cs: LinearCodeState, cols: list) -> int:
+    """Rank of the span of some of cs.columns."""
+    if cs.p == 2:
+        return rank2(cols, min(len(cols), cs.k))
+    return len(eliminate(cols, cs.p, cs.k))
+
+
 def code_entropy(cs: LinearCodeState, a) -> int:
     """Entanglement entropy of the code state across the cut (a | complement),
     in dits: rank(G_A) + rank(G_B) - k. Multiply by log2(p) for bits."""
-    a = sorted(set(a))
-    b = [j for j in range(cs.n) if j not in a]
-    ra = rank(submatrix_columns(cs.gen, a)) if a else 0
-    rb = rank(submatrix_columns(cs.gen, b)) if b else 0
-    return ra + rb - cs.k
+    a = set(a)
+    outside = sorted(j for j in a if not 0 <= j < cs.n)
+    if outside:
+        raise InvalidCut(f"cut sites {outside} out of range 0..{cs.n - 1}")
+    cols = cs.columns
+    side_a = [c for j, c in enumerate(cols) if j in a]
+    side_b = [c for j, c in enumerate(cols) if j not in a]
+    return _column_rank(cs, side_a) + _column_rank(cs, side_b) - cs.k
 
 
 @dataclass(frozen=True)
@@ -139,17 +172,42 @@ class AmeCodeResult:
         return self.ok
 
 
+def _nonsingular(m: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of an (N, k, k) stack over GF(p) are invertible, by
+    one forward elimination run on the whole stack, in place."""
+    count, k, _ = m.shape
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    every = np.arange(count)
+    ok = np.ones(count, dtype=bool)
+    for c in range(k):
+        nonzero = m[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        # A stack without a pivot here gets factor 0 and is left alone.
+        piv = c + nonzero.argmax(axis=1)
+        pivot_rows = m[every, piv]
+        m[every, piv] = m[:, c]
+        m[:, c] = pivot_rows
+        f = m[:, c + 1 :, c] * inv[m[:, c, c]][:, None] % p
+        m[:, c + 1 :, c:] = (m[:, c + 1 :, c:] - f[:, :, None] * m[:, None, c, c:]) % p
+    return ok
+
+
 def is_ame_code(cs: LinearCodeState) -> AmeCodeResult:
     """True iff every balanced cut carries maximal entropy, i.e. G restricted
-    to any n/2 columns has rank n/2. Requires n even and k = n/2."""
+    to any n/2 columns has rank n/2. Requires n even and k = n/2. The witness
+    of a failure is the lexicographically first deficient cut."""
     if cs.n % 2 != 0:
         return AmeCodeResult(False, f"n = {cs.n} is odd")
     half = cs.n // 2
     if cs.k != half:
         return AmeCodeResult(False, f"k = {cs.k} != n/2 = {half}")
-    for a in combinations(range(cs.n), half):
-        if rank(submatrix_columns(cs.gen, a)) != half:
-            return AmeCodeResult(False, "rank-deficient balanced cut", a)
+    gt = cs.gen.a.T
+    cuts = combinations(range(cs.n), half)
+    while batch := list(islice(cuts, AME_CHUNK)):
+        idx = np.array(batch, dtype=np.intp).reshape(len(batch), half)
+        ok = _nonsingular(gt[idx], cs.p)
+        if not ok.all():
+            return AmeCodeResult(False, "rank-deficient balanced cut", batch[int(ok.argmin())])
     return AmeCodeResult(True)
 
 

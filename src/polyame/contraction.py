@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import TooLarge, ZeroState
 from .polytope import Polytope, face_parity_matrix, platonic
-from .states import StateVector, ame52_rotinv, ame52_table1, ame62
-
-DENSE_BUDGET = 2**26
+from .states import DENSE_BUDGET, StateVector, ame52_rotinv, ame52_table1, ame62
 
 
 @dataclass(frozen=True)

@@ -34,3 +34,16 @@ class ZeroState(PolyameError):
 
 class NotNormalized(PolyameError):
     """State vector norm differs from 1 beyond tolerance."""
+
+
+class InvalidCode(PolyameError, ValueError):
+    """A generator that does not define a code state: its modulus or length
+    disagrees with the state's, or its rows are dependent."""
+
+
+class InvalidCut(PolyameError, IndexError):
+    """A cut names a site outside 0..n-1."""
+
+
+class BadStateFile(PolyameError, ValueError):
+    """A state file whose header or payload is malformed or over budget."""

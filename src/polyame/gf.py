@@ -1,7 +1,8 @@
 """Exact linear algebra over prime fields GF(p).
 
-Entries are machine integers kept reduced mod p; the moduli needed here are
-tiny (p <= 29), so int64 arithmetic never overflows and everything is exact.
+Matrices hold int64 entries reduced mod p. Elimination runs on rows of
+Python ints, with inverses from pow(a, -1, p); GF(2) ranks run on rows
+bit-packed into single ints. Everything is exact.
 """
 
 from __future__ import annotations
@@ -93,46 +94,69 @@ class GfMatrix:
         return f"GfMatrix({self.a.tolist()}, p={self.p})"
 
 
-def _rref_inplace(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of a mutable int64 array mod p.
+def eliminate(rows: list, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan elimination mod p of a list of int rows, in place;
+    returns the pivot columns.
 
-    Returns (rref array, pivot column list). First-nonzero pivoting; the
-    result is canonical regardless of input row order.
+    First-nonzero pivoting, so the reduced form is canonical regardless of
+    input row order. Entries of `rows` are replaced by new lists, never
+    mutated, so callers may pass shared or immutable rows. Stops once every
+    row holds a pivot.
     """
-    field = PrimeField(p)
-    rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(ncols):
+        if r == len(rows):
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * field.inv(int(m[r, c]))) % p
-        for j in range(rows):
-            if j != r and m[j, c]:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pivot = rows[r] = [x * inv % p for x in rows[r]]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                rows[j] = [(x - f * y) % p for x, y in zip(row, pivot)]
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
+
+
+def rank2(vectors, limit: int) -> int:
+    """Rank over GF(2) of bit-packed vectors (Python ints), by reduction
+    against an XOR basis keyed by leading bit; stops once it reaches limit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                if len(basis) == limit:
+                    return limit
+                break
+            v ^= b
+    return len(basis)
+
+
+def pack_rows(a: np.ndarray) -> list[int]:
+    """Rows of a 0/1 array as Python ints (row bits, first column highest)."""
+    return [int.from_bytes(r.tobytes(), "big") for r in np.packbits(a.astype(np.uint8), axis=1)]
 
 
 def rref(m: GfMatrix) -> tuple[GfMatrix, list[int]]:
     """Reduced row-echelon form and pivot columns; input not mutated."""
-    work = m.a.copy()
-    work, pivots = _rref_inplace(work, m.p)
-    return GfMatrix(work, m.p), pivots
+    rows = m.a.tolist()
+    pivots = eliminate(rows, m.p, m.cols)
+    return GfMatrix(np.array(rows, dtype=np.int64).reshape(m.a.shape), m.p), pivots
 
 
 def rank(m: GfMatrix) -> int:
     """Dimension of the row space over GF(p)."""
-    work = m.a.copy()
-    _, pivots = _rref_inplace(work, m.p)
-    return len(pivots)
+    if m.p == 2:
+        return rank2(pack_rows(m.a), min(m.rows, m.cols))
+    return len(eliminate(m.a.tolist(), m.p, m.cols))
 
 
 def nullspace(m: GfMatrix) -> GfMatrix:
@@ -142,15 +166,15 @@ def nullspace(m: GfMatrix) -> GfMatrix:
     yields one basis vector with a 1 there and minus the pivot-column
     coefficients elsewhere.
     """
-    work = m.a.copy()
-    work, pivots = _rref_inplace(work, m.p)
+    work = m.a.tolist()
+    pivots = eliminate(work, m.p, m.cols)
     cols = m.cols
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     for bi, fc in enumerate(free):
         basis[bi, fc] = 1
         for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-work[ri, fc]) % m.p
+            basis[bi, pc] = (-work[ri][fc]) % m.p
     return GfMatrix(basis, m.p)
 
 

@@ -13,10 +13,10 @@ Layout (little-endian, 16-byte header, then raw amplitudes):
     16      -     d^n values: int8 or little-endian float64 per encoding
 
 The int8 encoding stores the amplitudes as the smallest integer vector
-proportional to the state (exact for flat +-1/sqrt(N) states and uniform
-code-state supports); decoding divides by the integer vector's norm, which
-reproduces the original amplitudes bit-for-bit when they were built the same
-way. float64 is a verbatim dump.
+proportional to the state; decoding divides by the integer vector's norm.
+It is used only where that decoding gives back the amplitudes bit for bit
+(flat sign states and uniform code-state supports built the same way).
+float64 is a verbatim dump. Either way a round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -25,58 +25,74 @@ import struct
 
 import numpy as np
 
-from .states import StateVector
+from .errors import BadStateFile
+from .states import DENSE_BUDGET, StateVector
 
 MAGIC = b"POLYAME\x00"
 VERSION = 1
 ENC_INT8 = 1
 ENC_FLOAT64 = 2
+DTYPES = {ENC_INT8: np.dtype(np.int8), ENC_FLOAT64: np.dtype("<f8")}
+
+
+def _decode_int8(ints: np.ndarray) -> np.ndarray:
+    arr = ints.astype(np.float64)
+    arr /= np.linalg.norm(arr)
+    return arr
 
 
 def _as_int8_multiple(amps: np.ndarray):
-    """Smallest int8 vector proportional to amps, or None."""
-    scale = np.abs(amps[amps != 0]).min() if np.any(amps) else 1.0
-    ratio = amps / scale
-    ints = np.rint(ratio)
+    """Smallest int8 vector proportional to amps whose decoding gives back
+    amps bit for bit, or None."""
+    if not np.any(amps):
+        return None
+    ints = np.rint(amps / np.abs(amps[amps != 0]).min())
     if np.max(np.abs(ints)) > 127:
         return None
-    if not np.allclose(ratio, ints, rtol=0, atol=1e-12):
-        return None
-    return ints.astype(np.int8)
+    ints = ints.astype(np.int8)
+    return ints if np.array_equal(_decode_int8(ints), amps) else None
 
 
 def write_state(path, sv: StateVector, encoding: str = "auto") -> str:
     """Write a state; returns the encoding used ('int8' or 'float64')."""
     ints = _as_int8_multiple(sv.amps) if encoding in ("auto", "int8") else None
     if encoding == "int8" and ints is None:
-        raise ValueError("amplitudes are not proportional to small integers")
+        raise ValueError("amplitudes are not an exactly decodable multiple of small integers")
     with open(path, "wb") as fh:
         enc = ENC_INT8 if ints is not None else ENC_FLOAT64
         fh.write(MAGIC)
         fh.write(struct.pack("<BBBB4x", VERSION, sv.n, sv.d, enc))
-        if ints is not None:
-            fh.write(ints.tobytes())
-        else:
-            fh.write(sv.amps.astype("<f8").tobytes())
+        fh.write(ints if ints is not None else np.ascontiguousarray(sv.amps, dtype="<f8"))
     return "int8" if ints is not None else "float64"
 
 
 def read_state(path) -> StateVector:
+    """Read a state file. The header is validated before the payload
+    buffer is allocated, so a malformed file raises BadStateFile."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, n, d, enc = struct.unpack("<BBBB4x", fh.read(8))
+            raise BadStateFile(f"bad magic {magic!r}")
+        header = fh.read(8)
+        if len(header) != 8:
+            raise BadStateFile("truncated header")
+        version, n, d, enc = struct.unpack("<BBBB4x", header)
         if version != VERSION:
-            raise ValueError(f"unsupported version {version}")
-        payload = fh.read()
-    count = d**n
+            raise BadStateFile(f"unsupported version {version}")
+        if n < 1 or d < 2:
+            raise BadStateFile(f"header has n = {n}, d = {d}; need n >= 1, d >= 2")
+        count = d**n
+        if count > DENSE_BUDGET:
+            raise BadStateFile(f"d^n = {d}^{n} amplitudes exceeds budget {DENSE_BUDGET}")
+        if enc not in DTYPES:
+            raise BadStateFile(f"unknown encoding {enc}")
+        arr = np.empty(count, dtype=DTYPES[enc])
+        if fh.readinto(arr) != arr.nbytes or fh.read(1):
+            raise BadStateFile(f"payload is not exactly {arr.nbytes} bytes")
     if enc == ENC_INT8:
-        ints = np.frombuffer(payload, dtype=np.int8, count=count)
-        arr = ints.astype(np.float64)
-        arr /= np.linalg.norm(arr)
-    elif enc == ENC_FLOAT64:
-        arr = np.frombuffer(payload, dtype="<f8", count=count).astype(np.float64)
+        if not arr.any():
+            raise BadStateFile("int8 payload is all zero, which has no norm to divide by")
+        arr = _decode_int8(arr)
     else:
-        raise ValueError(f"unknown encoding {enc}")
+        arr = arr.astype(np.float64, copy=False)
     return StateVector(int(n), int(d), arr)

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import NotNormalized
 
 NORM_TOL = 1e-9
+# Largest dense vector (d^n amplitudes) the package builds, loads or
+# contracts into.
+DENSE_BUDGET = 2**26
 
 
 def digits_of(i: int, n: int, d: int) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 """Linear-code states: generators, distances, and the exact entropy formula."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
+from polyame import codes
 from polyame.codes import (
     LinearCodeState,
     code_entropy,
@@ -16,8 +19,8 @@ from polyame.codes import (
     rs_generator,
 )
 from polyame.entropy import Bipartition, entropy
-from polyame.errors import NotPrime, TooLarge, UnsupportedPrime
-from polyame.gf import GfMatrix
+from polyame.errors import InvalidCode, InvalidCut, NotPrime, TooLarge, UnsupportedPrime
+from polyame.gf import GfMatrix, rank, submatrix_columns
 from polyame.polytope import face_parity_matrix, platonic
 from polyame.reference import (
     REFERENCE_D2_CODE_K,
@@ -150,8 +153,23 @@ def test_is_ame_code():
 
 
 def test_generator_must_be_full_rank():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidCode):
         LinearCodeState(2, 3, GfMatrix([[1, 1, 0], [1, 1, 0]], 2))
+
+
+def test_generator_must_fit_the_state():
+    g = GfMatrix([[1, 1, 0]], 2)
+    with pytest.raises(InvalidCode):
+        LinearCodeState(3, 3, g)
+    with pytest.raises(InvalidCode):
+        LinearCodeState(2, 4, g)
+
+
+def test_code_entropy_rejects_out_of_range_sites():
+    cs = rs_code_state(3)
+    for cut in ([4], [0, -1], [1, 7]):
+        with pytest.raises(InvalidCut):
+            code_entropy(cs, cut)
 
 
 def test_parity_code_of_full_rank_checks():
@@ -160,3 +178,74 @@ def test_parity_code_of_full_rank_checks():
     cs = from_parity_checks(h)
     assert cs.k == 0
     assert list(codewords(cs)) == [(0, 0)]
+
+
+LAST_CUT_SINGULAR = np.array(
+    [[1, 9, 2, 10], [2, 4, 9, 7], [3, 10, 10, 10], [7, 7, 9, 10]], dtype=np.int64
+)
+
+
+def _first_deficient_cut(cs):
+    """First balanced cut, in lexicographic order, whose columns have rank
+    below n/2, one rank per cut; None if there is none."""
+    half = cs.n // 2
+    for a in combinations(range(cs.n), half):
+        if rank(submatrix_columns(cs.gen, a)) < half:
+            return a
+    return None
+
+
+def _rs_with_column(p, j, combo):
+    """RS(p) with column j replaced by a combination {column: coefficient}
+    of other columns, which makes every cut holding j and those columns
+    rank-deficient."""
+    g = rs_generator(p).a.copy()
+    g[:, j] = sum(c * g[:, i] for i, c in combo.items()) % p
+    return LinearCodeState(p, p + 1, GfMatrix(g, p))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, codes.AME_CHUNK])
+def test_is_ame_code_witness_is_first_deficient_cut(monkeypatch, chunk):
+    monkeypatch.setattr(codes, "AME_CHUNK", chunk)
+    cases = [
+        _rs_with_column(7, 1, {0: 2}),  # deficient from the first cut on
+        _rs_with_column(7, 5, {2: 1, 3: 4}),  # first at a middle cut
+        # [I | A] with every proper minor of A nonzero but det A = 0:
+        # only the last cut, the columns of A, is deficient.
+        LinearCodeState(
+            11, 8, GfMatrix(np.hstack([np.eye(4, dtype=np.int64), LAST_CUT_SINGULAR]), 11)
+        ),
+        LinearCodeState(3, 4, GfMatrix([[1, 0, 0, 0], [0, 1, 0, 0]], 3)),
+    ]
+    positions = []
+    for cs in cases:
+        verdict = is_ame_code(cs)
+        first = _first_deficient_cut(cs)
+        assert first is not None and not verdict.ok
+        assert verdict.witness == first
+        positions.append(list(combinations(range(cs.n), cs.n // 2)).index(first))
+    assert positions[:3] == [0, positions[1], 69] and 0 < positions[1] < 69
+    assert is_ame_code(rs_code_state(7)).ok and _first_deficient_cut(rs_code_state(7)) is None
+
+
+def _codewords_by_definition(cs):
+    msgs = np.array(list(product(range(cs.p), repeat=cs.k)), dtype=np.int64)
+    return (msgs.reshape(cs.p**cs.k, cs.k) @ cs.gen.a) % cs.p
+
+
+@pytest.mark.parametrize("block", [1, 17, None])
+def test_codeword_blocks_match_definition(block):
+    states = [
+        rs_code_state(3),
+        rs_code_state(5),
+        from_parity_checks(GfMatrix([[1, 1, 1, 1]], 2)),
+        from_parity_checks(GfMatrix([[1, 0], [1, 1]], 2)),  # k = 0
+        from_parity_checks(GfMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]], 7)),  # k = 0
+    ]
+    for cs in states:
+        blocks = list(codeword_blocks(cs) if block is None else codeword_blocks(cs, block))
+        if block is not None:
+            assert all(1 <= len(b) <= block for b in blocks)
+        words = np.vstack(blocks)
+        assert words.shape == (cs.p**cs.k, cs.n)
+        assert np.array_equal(words, _codewords_by_definition(cs))

@@ -1,16 +1,24 @@
 """Exact prime-field linear algebra: rank/nullspace/rref identities."""
 
+from itertools import product
+from math import log
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyame.errors import NotPrime
 from polyame.gf import (
     GfMatrix,
     PrimeField,
+    eliminate,
     is_prime,
     matmul,
     nullspace,
+    pack_rows,
     rank,
+    rank2,
     rref,
     submatrix_columns,
 )
@@ -136,3 +144,48 @@ def test_rank_invariant_under_invertible_action():
             if rank(u) == 4:
                 break
         assert rank(matmul(u, m)) == rank(m)
+
+
+def _row_span_size(a: np.ndarray, p: int) -> int:
+    """Number of distinct vectors x a mod p, by enumerating every x."""
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return 1
+    msgs = np.array(list(product(range(p), repeat=rows)), dtype=np.int64)
+    return len(np.unique((msgs @ a) % p, axis=0))
+
+
+@st.composite
+def small_matrices(draw):
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example((2, np.zeros((0, 3), dtype=np.int64)))
+@example((13, np.zeros((3, 0), dtype=np.int64)))
+@example((5, np.zeros((0, 0), dtype=np.int64)))
+@example((7, np.zeros((4, 5), dtype=np.int64)))
+def test_rank_counts_the_row_span(case):
+    """p^rank is the size of the row span, counted by brute force."""
+    p, a = case
+    r = rank(GfMatrix(a, p))
+    assert p**r == _row_span_size(a, p)
+    assert round(log(_row_span_size(a, p), p)) == r
+
+
+def test_gf2_bit_packed_rank_matches_elimination():
+    """The XOR-basis rank of bit-packed rows agrees with Gauss-Jordan mod 2,
+    also for rows wider than a machine word."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        rows, cols = (int(x) for x in rng.integers(0, 14, 2))
+        cols *= int(rng.choice([1, 13]))
+        a = (rng.random((rows, cols)) < rng.random()).astype(np.int64)
+        expected = len(eliminate(a.tolist(), 2, cols))
+        assert rank(GfMatrix(a, 2)) == expected
+        assert rank2(pack_rows(a.T), min(rows, cols)) == expected

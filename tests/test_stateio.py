@@ -1,8 +1,14 @@
 """Binary state file round-trips and header validation."""
 
+import struct
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from polyame.cli import main
+from polyame.contraction import build_d1, build_d2
+from polyame.errors import BadStateFile, PolyameError
 from polyame.stateio import MAGIC, read_state, write_state
 from polyame.states import ame52_table1, ghz, normalized
 
@@ -66,3 +72,53 @@ def test_bad_version(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"POLYAME\x00" and len(MAGIC) == 8
+
+
+def test_d1_round_trip_bit_exact(tmp_path):
+    """d1's amplitudes are a few ulp off +-2^-10, which int8 decoding would
+    round away, so auto mode stores them verbatim."""
+    sv = build_d1()
+    path = tmp_path / "d1.bin"
+    assert write_state(path, sv) == "float64"
+    assert np.array_equal(read_state(path).amps, sv.amps)
+
+
+def test_d2_round_trip_stays_int8(tmp_path):
+    sv = build_d2()
+    path = tmp_path / "d2.bin"
+    assert write_state(path, sv) == "int8"
+    assert np.array_equal(read_state(path).amps, sv.amps)
+
+
+def _header(n, d, enc=1, version=1):
+    return MAGIC + struct.pack("<BBBB4x", version, n, d, enc)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _header(255, 255),  # 255^255 amplitudes: over budget, checked before reading
+        _header(0, 2) + bytes(1),
+        _header(3, 1) + bytes(1),
+        _header(3, 2, enc=7) + bytes(8),
+        _header(3, 2) + bytes(7),  # truncated int8 payload
+        _header(3, 2, enc=2) + bytes(8 * 8 - 1),  # truncated float64 payload
+        _header(3, 2) + bytes(9),  # trailing bytes
+        _header(1, 2) + bytes(2),  # int8 zero vector: nothing to normalise
+        MAGIC + bytes(3),  # truncated header
+    ],
+)
+def test_malformed_header_or_payload(tmp_path, data):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(BadStateFile) as info:
+        read_state(path)
+    assert isinstance(info.value, PolyameError) and isinstance(info.value, ValueError)
+
+
+def test_cli_reports_bad_header(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_header(255, 255))
+    res = CliRunner().invoke(main, ["analyze", "--state", str(path), "--m", "1"])
+    assert res.exit_code == 2
+    assert "error:" in res.output
