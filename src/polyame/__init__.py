@@ -10,6 +10,7 @@ from .codes import (
     AmeCodeResult,
     LinearCodeState,
     code_entropy,
+    codeword_census,
     codewords,
     dense_statevector,
     from_parity_checks,
@@ -32,13 +33,16 @@ from .entropy import (
     Bipartition,
     EntropyReport,
     entropy,
+    entropy_engine,
     entropy_sweep,
     exhaustive_partitions,
     sample_partitions,
     structured_partitions,
+    sweep_entropies,
     verify_ame,
 )
 from .errors import (
+    BadSpectrum,
     BadStateFile,
     InvalidCode,
     InvalidCut,
@@ -61,6 +65,7 @@ from .polytope import (
     table3,
 )
 from .reports import PaperTableResult, reproduce, reproduce_all
+from .stabilizer import StabilizerState, from_statevector, stabilizer_entropy
 from .stateio import read_state, write_state
 from .states import (
     StateVector,

@@ -185,6 +185,7 @@ def _report_doc(report) -> dict:
                 "mode": row.mode,
                 "seed": row.seed,
                 "non_integer": row.non_integer,
+                "backend": row.backend,
             }
             for row in report.rows
         ],

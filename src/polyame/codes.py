@@ -126,20 +126,25 @@ def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
             yield tuple(int(x) for x in row)
 
 
-def min_hamming_distance(cs: LinearCodeState) -> int:
-    """Minimum Hamming weight over nonzero codewords (= min distance, by
-    linearity)."""
+def codeword_census(cs: LinearCodeState) -> tuple[int, int]:
+    """Number of codewords enumerated and the minimum Hamming weight of the
+    nonzero ones (n + 1 if there are none), in one pass over
+    `codeword_blocks`."""
     _check_enum_budget(cs)
-    best = cs.n + 1
-    first = True
+    count, best = 0, cs.n + 1
     for blockarr in codeword_blocks(cs):
+        count += len(blockarr)
         weights = np.count_nonzero(blockarr, axis=1)
-        if first:
-            weights = weights[1:]  # drop the zero codeword (message 0 is first)
-            first = False
+        weights = weights[weights > 0]
         if weights.size:
             best = min(best, int(weights.min()))
-    return best
+    return count, best
+
+
+def min_hamming_distance(cs: LinearCodeState) -> int:
+    """Minimum Hamming weight over nonzero codewords (= min distance, by
+    linearity), by enumerating every codeword."""
+    return codeword_census(cs)[1]
 
 
 def _column_rank(cs: LinearCodeState, cols: list) -> int:

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log2
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import TooLarge
+from . import stabilizer
+from .errors import BadSpectrum, InvalidCut, TooLarge
 from .polytope import Polytope, opposite_face_pair
 from .states import StateVector
 
@@ -33,9 +34,12 @@ class Bipartition:
     def __post_init__(self):
         sites = tuple(sorted(self.a_sites))
         object.__setattr__(self, "a_sites", sites)
-        assert 1 <= len(sites) <= self.n - 1, "block must be proper and nonempty"
-        assert len(set(sites)) == len(sites), "duplicate sites"
-        assert all(1 <= s <= self.n for s in sites), "sites are 1-based"
+        if not 1 <= len(sites) <= self.n - 1:
+            raise InvalidCut(f"block {sites} of {self.n} sites must be proper and nonempty")
+        if len(set(sites)) != len(sites):
+            raise InvalidCut(f"block {sites} repeats a site")
+        if not all(1 <= s <= self.n for s in sites):
+            raise InvalidCut(f"block {sites} has sites outside 1..{self.n}")
 
     @property
     def m(self) -> int:
@@ -88,9 +92,16 @@ def _spectrum_sparse(sv: StateVector, bp: Bipartition, nz: np.ndarray) -> np.nda
     return np.linalg.eigvalsh(gram)
 
 
+def _check_cut(sv: StateVector, bp: Bipartition) -> None:
+    if bp.n != sv.n:
+        raise InvalidCut(f"cut of {bp.n} sites applied to a {sv.n}-site state")
+
+
 def entropy(sv: StateVector, bp: Bipartition) -> float:
-    """Von Neumann entropy (bits) of the reduction to bp.a_sites."""
-    assert bp.n == sv.n
+    """Von Neumann entropy (bits) of the reduction to bp.a_sites, from the
+    dense spectrum. This is the oracle the stabilizer path is checked
+    against; it never routes through that path."""
+    _check_cut(sv, bp)
     sv.check_normalized()
     small_side = min(bp.m, sv.n - bp.m)
     nz = None
@@ -103,8 +114,10 @@ def entropy(sv: StateVector, bp: Bipartition) -> float:
         if nz is not None
         else _spectrum_dense(sv, bp)
     )
-    assert lam.min() > -1e-12, "Gram matrix has a significantly negative eigenvalue"
-    assert abs(lam.sum() - 1.0) < 1e-9, "Schmidt spectrum does not sum to 1"
+    if not lam.min() > -1e-12:
+        raise BadSpectrum(f"Gram matrix has a significantly negative eigenvalue {lam.min()}")
+    if not abs(lam.sum() - 1.0) < 1e-9:
+        raise BadSpectrum(f"Schmidt spectrum sums to {lam.sum()}, not 1")
     lam = lam[lam > EIG_CUTOFF]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -203,6 +216,7 @@ class SweepRow:
     mode: str
     seed: Optional[int] = None
     non_integer: list[float] = None
+    backend: str = "dense"
 
     def __post_init__(self):
         if self.non_integer is None:
@@ -250,9 +264,36 @@ def batch_entropies(sv: StateVector, bps: list, workers: Optional[int] = None) -
         return pool.map(_pool_entropy, bps, chunksize=max(1, len(bps) // (4 * workers)))
 
 
-def _observe(sv: StateVector, parts, row: SweepRow) -> None:
+def entropy_engine(sv: StateVector) -> tuple[Callable[[list], list[float]], str]:
+    """The one place that picks how a dense state's cut entropies are
+    computed: recognise sv once as a stabilizer state and use the rank
+    formula ("stabilizer"), else dense spectra ("dense"). Returns the
+    function from a list of bipartitions to their entropies (bits), and the
+    backend's name."""
+    sv.check_normalized()
+    st = stabilizer.from_statevector(sv)
+    if st is None:
+        return (lambda bps: batch_entropies(sv, bps)), "dense"
+
+    def entropies(bps):
+        out = []
+        for bp in bps:
+            _check_cut(sv, bp)
+            out.append(float(stabilizer.stabilizer_entropy(st, [s - 1 for s in bp.a_sites])))
+        return out
+
+    return entropies, "stabilizer"
+
+
+def sweep_entropies(sv: StateVector, bps: list) -> tuple[list[float], str]:
+    """Entropies of bps (in order) and the backend that produced them."""
+    entropies, backend = entropy_engine(sv)
+    return entropies(bps), backend
+
+
+def _observe(entropies, parts, row: SweepRow) -> None:
     bps = list(parts)
-    for bp, s in zip(bps, batch_entropies(sv, bps)):
+    for bp, s in zip(bps, entropies(bps)):
         rounded = round(s)
         if abs(s - rounded) <= INTEGER_TOL:
             val = float(rounded)
@@ -268,19 +309,21 @@ def _observe(sv: StateVector, parts, row: SweepRow) -> None:
 
 def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyReport:
     """plan: iterable of (m, mode) where mode is 'exhaustive',
-    ('sample', count, seed), or ('structured', polytope)."""
+    ('sample', count, seed), or ('structured', polytope). The state is
+    recognised once; every row records the backend that computed it."""
+    entropies, backend = entropy_engine(sv)
     rows = []
     for m, mode in plan:
         if mode == "exhaustive":
-            row = SweepRow(m, [], {}, 0, "exhaustive")
-            _observe(sv, exhaustive_partitions(sv.n, m), row)
+            row = SweepRow(m, [], {}, 0, "exhaustive", backend=backend)
+            _observe(entropies, exhaustive_partitions(sv.n, m), row)
         elif mode[0] == "sample":
             _, count, seed = mode
-            row = SweepRow(m, [], {}, 0, "sampled", seed=seed)
-            _observe(sv, sample_partitions(sv.n, m, count, seed), row)
+            row = SweepRow(m, [], {}, 0, "sampled", seed=seed, backend=backend)
+            _observe(entropies, sample_partitions(sv.n, m, count, seed), row)
         elif mode[0] == "structured":
-            row = SweepRow(m, [], {}, 0, "structured")
-            _observe(sv, structured_partitions(mode[1], m), row)
+            row = SweepRow(m, [], {}, 0, "structured", backend=backend)
+            _observe(entropies, structured_partitions(mode[1], m), row)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         rows.append(row)

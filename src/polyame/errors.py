@@ -37,12 +37,19 @@ class NotNormalized(PolyameError):
 
 
 class InvalidCode(PolyameError, ValueError):
-    """A generator that does not define a code state: its modulus or length
-    disagrees with the state's, or its rows are dependent."""
+    """A generator or quadratic form that does not define a code or
+    stabilizer state: its modulus or length disagrees with the state's, its
+    rows are dependent, or the form is malformed."""
 
 
 class InvalidCut(PolyameError, IndexError):
-    """A cut names a site outside 0..n-1."""
+    """A cut that is not a proper, nonempty block of distinct sites of the
+    state it is applied to."""
+
+
+class BadSpectrum(PolyameError, ArithmeticError):
+    """A Schmidt spectrum that is not a probability distribution: a
+    significantly negative eigenvalue, or a sum away from 1."""
 
 
 class BadStateFile(PolyameError, ValueError):

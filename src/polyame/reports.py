@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,20 +22,20 @@ import numpy as np
 from . import reference as ref
 from .codes import (
     code_entropy,
-    codeword_blocks,
+    codeword_census,
     from_parity_checks,
     is_ame_code,
-    min_hamming_distance,
     rs_code_state,
     rs_generator,
 )
 from .contraction import build_d1, build_hovering
 from .entropy import (
     INTEGER_TOL,
-    batch_entropies,
+    entropy_engine,
     exhaustive_partitions,
     sample_partitions,
     structured_partitions,
+    sweep_entropies,
     verify_ame,
 )
 from .polytope import face_parity_matrix, platonic, table3
@@ -119,7 +120,11 @@ def reproduce_ame62_eq8() -> PaperTableResult:
                 "deviation": verdict.worst_deviation,
             }
         )
-    return _result("ame62_eq8", diffs, {"worst_deviation": verdict.worst_deviation})
+    return _result(
+        "ame62_eq8",
+        diffs,
+        {"worst_deviation": verdict.worst_deviation, "backend": "dense"},
+    )
 
 
 def _observe_row(values_sites, target, diffs, m):
@@ -140,25 +145,26 @@ def _observe_row(values_sites, target, diffs, m):
     return seen
 
 
-def _dense_row(sv, m, mode, target, diffs, structured_pt=None):
-    """One table row for a dense state: exhaustive or seeded-sample entropies,
-    extending the sample until every reference value is witnessed or the
-    witness budget is spent."""
+def _row(entropies, backend, n, m, mode, target, diffs, structured_pt=None):
+    """One table row: exhaustive or seeded-sample entropies from
+    `entropies` (a list of bipartitions to their entropies), extending the
+    sample until every reference value is witnessed or the witness budget
+    is spent."""
     if mode == "exhaustive":
-        bps = list(exhaustive_partitions(sv.n, m))
+        bps = list(exhaustive_partitions(n, m))
     else:
-        bps = sample_partitions(sv.n, m, SAMPLES_PER_M, seed=m)
+        bps = sample_partitions(n, m, SAMPLES_PER_M, seed=m)
         if structured_pt is not None:
             bps.extend(structured_partitions(structured_pt, m))
-    vals = batch_entropies(sv, bps)
+    vals = entropies(bps)
     seen = _observe_row(zip(vals, (bp.a_sites for bp in bps)), target, diffs, m)
     examined = len(bps)
     round_no = 1
     while mode != "exhaustive" and sorted(set(target) - set(seen)) and examined < WITNESS_BUDGET:
-        more = sample_partitions(sv.n, m, 1000, seed=10_000 * round_no + m)
+        more = sample_partitions(n, m, 1000, seed=10_000 * round_no + m)
         round_no += 1
         examined += len(more)
-        vals = batch_entropies(sv, more)
+        vals = entropies(more)
         for v, sites in _observe_row(
             zip(vals, (bp.a_sites for bp in more)), target, diffs, m
         ).items():
@@ -172,49 +178,15 @@ def _dense_row(sv, m, mode, target, diffs, structured_pt=None):
         "examined": examined,
         "values": sorted(seen),
         "witnesses": {str(v): list(seen[v]) for v in sorted(seen)},
-    }
-
-
-def _code_row(cs, m, mode, target, diffs):
-    """Same row logic driven by the exact rank formula of a code state (the
-    contraction of the cyclically invariant tensor equals that code state)."""
-    if mode == "exhaustive":
-        bps = list(exhaustive_partitions(cs.n, m))
-    else:
-        bps = sample_partitions(cs.n, m, SAMPLES_PER_M, seed=m)
-    pairs = [
-        (float(code_entropy(cs, [s - 1 for s in bp.a_sites])), bp.a_sites)
-        for bp in bps
-    ]
-    seen = _observe_row(pairs, target, diffs, m)
-    examined = len(bps)
-    round_no = 1
-    while mode != "exhaustive" and sorted(set(target) - set(seen)) and examined < WITNESS_BUDGET:
-        more = sample_partitions(cs.n, m, 1000, seed=10_000 * round_no + m)
-        round_no += 1
-        examined += len(more)
-        pairs = [
-            (float(code_entropy(cs, [s - 1 for s in bp.a_sites])), bp.a_sites)
-            for bp in more
-        ]
-        for v, sites in _observe_row(pairs, target, diffs, m).items():
-            seen.setdefault(v, sites)
-    for value in sorted(set(target) - set(seen)):
-        diffs.append({"m": m, "unwitnessed_reference_value": value})
-    return {
-        "m": m,
-        "mode": mode,
-        "seed": None if mode == "exhaustive" else m,
-        "examined": examined,
-        "values": sorted(seen),
-        "witnesses": {str(v): list(seen[v]) for v in sorted(seen)},
+        "backend": backend,
     }
 
 
 def reproduce_table2() -> PaperTableResult:
     """Entropy profiles of both dodecahedron states.
 
-    The tabulated-tensor state is analyzed with dense spectra: exhaustively
+    The tabulated-tensor state is recognised once and analyzed with the
+    entropy engine (its stabilizer form, else dense spectra): exhaustively
     for m <= 6 (within the enumeration budget, so deviations there are
     certain, not sampling luck), sampled plus geometry-structured blocks for
     m >= 7. The cyclically invariant state equals a parity-check code state,
@@ -223,27 +195,39 @@ def reproduce_table2() -> PaperTableResult:
     diffs: list = []
     pt = platonic("dodecahedron")
     d1 = build_d1()
+    d1_entropies, d1_backend = entropy_engine(d1)
     d1_rows = []
-    for m in range(1, 7):
+    for m in range(1, 11):
+        mode = "exhaustive" if m <= 6 else "sampled"
         d1_rows.append(
-            _dense_row(d1, m, "exhaustive", ref.REFERENCE_D1_ENTROPY_SETS[m], diffs)
-        )
-    for m in range(7, 11):
-        d1_rows.append(
-            _dense_row(
-                d1,
+            _row(
+                d1_entropies,
+                d1_backend,
+                d1.n,
                 m,
-                "sampled",
+                mode,
                 ref.REFERENCE_D1_ENTROPY_SETS[m],
                 diffs,
-                structured_pt=pt,
+                structured_pt=None if m <= 6 else pt,
             )
         )
     code = from_parity_checks(face_parity_matrix(pt))
+
+    def code_entropies(bps):
+        return [float(code_entropy(code, [s - 1 for s in bp.a_sites])) for bp in bps]
+
     d2_rows = []
     for m in range(1, 11):
         d2_rows.append(
-            _code_row(code, m, "exhaustive", ref.REFERENCE_D2_ENTROPY_SETS[m], diffs)
+            _row(
+                code_entropies,
+                "code-rank",
+                code.n,
+                m,
+                "exhaustive",
+                ref.REFERENCE_D2_ENTROPY_SETS[m],
+                diffs,
+            )
         )
     return _result(
         "table2",
@@ -291,10 +275,9 @@ def reproduce_rs12_11() -> PaperTableResult:
             if g.a[i, j] != expected.a[i, j]
         )
     cs = rs_code_state(11)
-    n_words = sum(b.shape[0] for b in codeword_blocks(cs))
+    n_words, d_h = codeword_census(cs)
     if n_words != 11**6:
         diffs.append({"codeword_count": n_words, "expected": 11**6})
-    d_h = min_hamming_distance(cs)
     if d_h != ref.REFERENCE_RS11_MIN_DISTANCE:
         diffs.append(
             {"min_distance": d_h, "expected": ref.REFERENCE_RS11_MIN_DISTANCE}
@@ -309,7 +292,7 @@ def reproduce_rs12_11() -> PaperTableResult:
     return _result(
         "rs12_11",
         diffs,
-        {"k": cs.k, "n": cs.n, "min_distance": d_h, "ame": bool(ame)},
+        {"k": cs.k, "n": cs.n, "min_distance": d_h, "ame": bool(ame), "backend": "code-rank"},
     )
 
 
@@ -321,7 +304,7 @@ def reproduce_hovering() -> PaperTableResult:
     sv = build_hovering()
     lo, hi = ref.REFERENCE_HOVERING_RANGE
     bps = list(exhaustive_partitions(sv.n, sv.n // 2))
-    values = batch_entropies(sv, bps)
+    values, backend = sweep_entropies(sv, bps)
     ints = set()
     for bp, s in zip(bps, values):
         r = round(s)
@@ -345,7 +328,7 @@ def reproduce_hovering() -> PaperTableResult:
     return _result(
         "hovering",
         diffs,
-        {"values": sorted(ints), "cuts": len(bps), "order_deviation": dev},
+        {"values": sorted(ints), "cuts": len(bps), "order_deviation": dev, "backend": backend},
         fail=fail,
     )
 
@@ -362,13 +345,21 @@ _REPRODUCERS = {
 
 
 def reproduce(table_id: str) -> PaperTableResult:
+    """Run one reproducer. An exception inside it is a broken pipeline: it
+    becomes status "fail" with the exception in `diffs` and its traceback
+    in `metadata`, so the other tables still run."""
     try:
         fn = _REPRODUCERS[table_id]
     except KeyError:
         raise ValueError(
             f"unknown table id {table_id!r}; expected one of {TABLE_IDS}"
         ) from None
-    return fn()
+    try:
+        return fn()
+    except Exception as exc:
+        result = _result(table_id, [{"exception": f"{type(exc).__name__}: {exc}"}], {}, fail=True)
+        result.metadata["traceback"] = traceback.format_exc()
+        return result
 
 
 def reproduce_all() -> list[PaperTableResult]:

@@ -1,0 +1,187 @@
+"""Qubit stabilizer states in quadratic form, and their exact entropies.
+
+A stabilizer state of n qubits can be written (Dehaene & De Moor, PRA 68,
+042318 (2003)) as a flat amplitude over an affine GF(2) subspace with the
+sign of a quadratic form:
+
+    |psi> = 2^(-k/2) sum_{u in GF(2)^k} (-1)^Q(u) |x0 + u G>,
+
+with G a k x n generator (a LinearCodeState), x0 a shift and
+Q(u) = q0 + sum_i q_ii u_i + sum_{i<j} q_ij u_i u_j. Its entanglement
+entropies are integers (bits):
+
+    S(A) = rank G_A + rank G_B - k + rank(beta on K_A x K_B),
+
+where beta(u, v) = Q(u+v) + Q(u) + Q(v) + q0 is Q's alternating bilinear
+form, K_A = ker G_B and K_B = ker G_A. The first three terms are the code
+state's `code_entropy`; beta = 0 gives that formula back unchanged.
+
+`from_statevector` recognises such a state in a dense qubit vector.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
+
+import numpy as np
+
+from .codes import LinearCodeState, code_entropy
+from .errors import InvalidCode
+from .gf import GfMatrix, rank2
+from .states import StateVector
+
+# Largest Euclidean distance from the ideal vector at which a dense vector
+# is taken as a stabilizer state. By the Fannes-Audenaert inequality every
+# dense entropy then lies within 1e-9 of the rank value.
+RECOGNITION_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class StabilizerState:
+    """Amplitude 2^(-k/2) (-1)^Q(u) on the basis state x0 + uG, 0 elsewhere.
+
+    `shift` is x0 as a basis index (site 1 most significant); `q` is the
+    k x k upper-triangular 0/1 matrix of Q, its diagonal the linear part;
+    `q0` is Q's constant term, a global sign.
+    """
+
+    code: LinearCodeState
+    shift: int
+    q: np.ndarray
+    q0: int = 0
+
+    def __post_init__(self):
+        k, n = self.code.k, self.code.n
+        if self.code.p != 2:
+            raise InvalidCode(f"a qubit stabilizer state needs p = 2, not {self.code.p}")
+        if not 0 <= self.shift < 1 << n:
+            raise InvalidCode(f"shift {self.shift} is not a basis index of {n} qubits")
+        q = np.asarray(self.q)
+        if q.shape != (k, k) or not np.isin(q, (0, 1)).all() or np.tril(q, -1).any():
+            raise InvalidCode(f"Q must be an upper-triangular 0/1 {k} x {k} matrix")
+        if self.q0 not in (0, 1):
+            raise InvalidCode(f"constant term q0 = {self.q0} is not 0 or 1")
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """Rows of G as n-bit basis-index masks."""
+        return [int("".join(map(str, row)), 2) for row in self.code.gen.a.tolist()]
+
+    @cached_property
+    def beta(self) -> list[int]:
+        """Rows of beta's matrix q + q^T (zero diagonal) as k-bit ints, bit i
+        for u_i."""
+        q = np.asarray(self.q, dtype=np.int64)
+        sym = np.triu(q, 1) + np.triu(q, 1).T
+        return [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in sym]
+
+    def amplitudes(self) -> np.ndarray:
+        """The dense 2^n vector. Points and signs are built by doubling: the
+        points of span(g_0..g_j) are those of span(g_0..g_{j-1}) and the same
+        plus g_j, where Q changes by q_jj + sum_{i<j} q_ij u_i."""
+        k, n = self.code.k, self.code.n
+        q = np.asarray(self.q)
+        pts = np.empty(1 << k, dtype=np.int64)
+        neg = np.empty(1 << k, dtype=bool)
+        pts[0], neg[0] = self.shift, bool(self.q0)
+        for j, g in enumerate(self.rows):
+            half = 1 << j
+            cross = sum(1 << i for i in range(j) if q[i, j])
+            pts[half : 2 * half] = pts[:half] ^ g
+            flip = _parity(np.arange(half, dtype=np.int64) & cross).astype(bool)
+            neg[half : 2 * half] = neg[:half] ^ flip ^ bool(q[j, j])
+        amps = np.zeros(1 << n, dtype=np.float64)
+        amps[pts] = 2.0 ** (-k / 2)
+        amps[pts[neg]] *= -1
+        return amps
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Bit parity of non-negative int64 entries, by XOR-folding."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
+    """The stabilizer form of a dense qubit vector, or None if it has none.
+
+    The support is {|a| > max|a| / 2}; it must have 2^k points. Its basis is
+    found by repeatedly taking the largest point w of W = support ^ x0 and
+    setting W = min(W, W ^ w), which clears w's leading bit everywhere. Q is
+    read from the signs at x0, x0 + g_i and x0 + g_i + g_j. The result is
+    accepted only if sv is within RECOGNITION_TOL (Euclidean) of the ideal
+    vector it describes, which checks the support and Q on every point.
+    """
+    if sv.d != 2:
+        return None
+    amps, n = sv.amps, sv.n
+    half_max = 0.5 * max(amps.max(), -amps.min())
+    w = np.flatnonzero((amps > half_max) | (amps < -half_max))
+    k = max(w.size.bit_length() - 1, 0)
+    if w.size != 1 << k:
+        return None
+    x0 = int(w[0])
+    w ^= x0
+    basis = []
+    for _ in range(k):
+        top = int(w.max())
+        if top == 0:
+            return None
+        basis.append(top)
+        np.minimum(w, w ^ top, out=w)
+    if w.any():
+        return None
+    del w
+    b = np.array(basis, dtype=np.int64)
+    g = b[:, None] >> np.arange(n - 1, -1, -1) & 1
+    neg0 = int(amps[x0] < 0)
+    single = (amps[x0 ^ b] < 0).astype(np.int64) ^ neg0
+    pair = (amps[x0 ^ b[:, None] ^ b[None, :]] < 0).astype(np.int64)
+    q = np.triu(pair ^ single[:, None] ^ single[None, :] ^ neg0, 1)
+    q[np.diag_indices(k)] = single
+    st = StabilizerState(LinearCodeState(2, n, GfMatrix(g, 2)), x0, q, neg0)
+    ideal = st.amplitudes()
+    ideal -= amps
+    return st if np.linalg.norm(ideal) <= RECOGNITION_TOL else None
+
+
+def _kernel(rows: list[int], mask: int) -> list[int]:
+    """Basis of {u : (sum_i u_i rows[i]) & mask = 0}, as k-bit ints."""
+    basis: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        v, u = row & mask, 1 << i
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = (v, u)
+                break
+            bv, bu = basis[top]
+            v, u = v ^ bv, u ^ bu
+        else:
+            kernel.append(u)
+    return kernel
+
+
+def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
+    """Entropy in bits across the cut (a_sites | complement), a_sites
+    0-based like `code_entropy`: code_entropy + rank of beta on
+    ker G_B x ker G_A."""
+    s = code_entropy(st.code, a_sites)
+    if not any(st.beta):
+        return s
+    n = st.code.n
+    in_a = sum(1 << (n - 1 - j) for j in set(a_sites))
+    k_a = _kernel(st.rows, ((1 << n) - 1) ^ in_a)
+    k_b = _kernel(st.rows, in_a)
+    form = []
+    for x in k_a:
+        bx = 0
+        for i, row in enumerate(st.beta):
+            if x >> i & 1:
+                bx ^= row
+        form.append(sum(((bx & y).bit_count() & 1) << j for j, y in enumerate(k_b)))
+    return s + rank2(form, min(len(k_a), len(k_b)))

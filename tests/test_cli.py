@@ -87,6 +87,7 @@ def test_analyze_exhaustive(runner, d2_file, tmp_path):
     row = doc["rows"][0]
     assert row["m"] == 3 and row["mode"] == "exhaustive"
     assert row["values"] == [3.0] and row["examined"] == 1140
+    assert row["backend"] == "stabilizer"  # d2 is a code state
     assert doc["tolerances"]["integer_tolerance"] == 1e-9
 
 
@@ -187,6 +188,22 @@ def test_reproduce_exit_codes(runner, tmp_path):
     assert doc[0]["status"] == "pass"
 
 
+def test_reproduce_crash_is_a_fail(runner, tmp_path, monkeypatch):
+    from polyame import reports
+
+    def crash():
+        raise RuntimeError("pipeline broke")
+
+    monkeypatch.setitem(reports._REPRODUCERS, "table3", crash)
+    out = tmp_path / "t3.json"
+    res = runner.invoke(main, ["reproduce", "table3", "--out", str(out)])
+    assert res.exit_code == 1
+    (block,) = json.loads(out.read_text())
+    assert block["status"] == "fail"
+    assert block["diffs"] == [{"exception": "RuntimeError: pipeline broke"}]
+    assert "RuntimeError" in block["metadata"]["traceback"]
+
+
 def test_run_config_api():
     # the programmatic entry point returns process exit codes
     assert run(RunConfig("code_rs", p=4)) == 2
@@ -209,5 +226,5 @@ def test_documented_pipeline(runner, tmp_path):
     )
     assert res.exit_code == 0
     row = json.loads(out.read_text())["rows"][0]
-    assert row["values"] == [6.0]
+    assert row["values"] == [6.0] and row["backend"] == "stabilizer"
     assert row["seed"] == 7 and row["examined"] == 100

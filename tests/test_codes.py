@@ -10,6 +10,7 @@ from polyame.codes import (
     LinearCodeState,
     code_entropy,
     codeword_blocks,
+    codeword_census,
     codewords,
     dense_statevector,
     from_parity_checks,
@@ -81,6 +82,33 @@ def test_min_distance_hand_cases():
     even = from_parity_checks(GfMatrix([[1, 1, 1]], 2))
     assert even.k == 2
     assert min_hamming_distance(even) == 2
+
+
+def test_codeword_census():
+    rep = LinearCodeState(2, 3, GfMatrix([[1, 1, 1]], 2))
+    assert codeword_census(rep) == (2, 3)
+    point = from_parity_checks(GfMatrix([[1, 0], [0, 1]], 2))  # k = 0
+    assert codeword_census(point) == (1, 3)
+    for p in (3, 5, 7):
+        cs = rs_code_state(p)
+        assert codeword_census(cs) == (p**cs.k, min_hamming_distance(cs))
+
+
+def test_rs12_11_enumerates_once(monkeypatch):
+    from polyame import codes
+    from polyame.reports import reproduce_rs12_11
+
+    words = []
+
+    def counted(cs, *args, **kwargs):
+        for block in codeword_blocks(cs, *args, **kwargs):
+            words.append(len(block))
+            yield block
+
+    monkeypatch.setattr(codes, "codeword_blocks", counted)
+    r = reproduce_rs12_11()
+    assert r.status == "pass" and r.details["min_distance"] == 7
+    assert sum(words) == 11**6
 
 
 def test_rs_distances_meet_singleton():

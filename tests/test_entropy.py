@@ -18,7 +18,7 @@ from polyame.entropy import (
     structured_partitions,
     verify_ame,
 )
-from polyame.errors import TooLarge
+from polyame.errors import InvalidCut, TooLarge
 from polyame.polytope import platonic
 from polyame.states import ame43, ame52_table1, ghz, normalized
 
@@ -27,14 +27,23 @@ def test_bipartition_normalizes_and_validates():
     bp = Bipartition(5, (3, 1))
     assert bp.a_sites == (1, 3) and bp.m == 2
     assert bp.complement().a_sites == (2, 4, 5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidCut):
         Bipartition(5, ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidCut):
         Bipartition(5, (1, 2, 3, 4, 5))  # block must be proper
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidCut):
         Bipartition(5, (0, 1))  # sites are 1-based
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidCut):
         Bipartition(5, (1, 1))
+
+
+def test_cut_must_fit_the_state():
+    sv = ame52_table1()
+    with pytest.raises(InvalidCut):
+        entropy(sv, Bipartition(6, (1, 2)))
+    # the stabilizer route checks it too: dodecahedron faces on 5 sites
+    with pytest.raises(InvalidCut):
+        entropy_sweep(sv, [(5, ("structured", platonic("dodecahedron")))])
 
 
 def test_entropy_known_values():
