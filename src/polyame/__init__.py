@@ -38,13 +38,13 @@ from .entropy import (
     exhaustive_partitions,
     sample_partitions,
     structured_partitions,
-    sweep_entropies,
     verify_ame,
 )
 from .errors import (
     BadSpectrum,
     BadStateFile,
     InvalidCode,
+    InvalidContraction,
     InvalidCut,
     NoOppositeFace,
     NotNormalized,
@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedPrime,
     ZeroState,
 )
-from .gf import GfMatrix, PrimeField, is_prime, matmul, nullspace, rank, rref
+from .gf import GfMatrix, is_prime, matmul, nullspace, rank, rref
 from .polytope import (
     Polytope,
     face_adjacency_distance,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import TooLarge, ZeroState
+from .errors import InvalidContraction, TooLarge, ZeroState
 from .polytope import Polytope, face_parity_matrix, platonic
 from .states import DENSE_BUDGET, StateVector, ame52_rotinv, ame52_table1, ame62
 
@@ -33,11 +33,14 @@ class AgreementContraction:
     mode: str = "vertex"  # or "hovering"
 
     def __post_init__(self):
-        assert self.mode in ("vertex", "hovering")
-        assert len(self.assignments) == self.polytope.face_count
-        assert sorted(a.face_index for a in self.assignments) == list(
-            range(self.polytope.face_count)
-        )
+        if self.mode not in ("vertex", "hovering"):
+            raise InvalidContraction(f"unknown contraction mode {self.mode!r}")
+        faces = sorted(a.face_index for a in self.assignments)
+        if faces != list(range(self.polytope.face_count)):
+            raise InvalidContraction(
+                f"assignments cover faces {faces}, not each of the "
+                f"{self.polytope.face_count} faces once"
+            )
 
 
 def _oriented_cycle(face: Sequence[int], orientation: int) -> tuple[int, ...]:
@@ -176,7 +179,8 @@ def hovering_accumulate_reference(
     elimination path."""
     pt = ac.polytope
     d = ac.assignments[0].tensor.d
-    assert d == 2, "reference accumulation implemented for qubits"
+    if d != 2:
+        raise InvalidContraction(f"reference accumulation is implemented for qubits, not d = {d}")
     v_count, f_count = pt.vertex_count, pt.face_count
     coeff = []  # per face: (2^V,) arrays for h = 0 and h = 1
     idx_arrays = _face_index_arrays(pt, ac.assignments, d)

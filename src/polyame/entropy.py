@@ -1,5 +1,6 @@
-"""Dense von Neumann entropies over arbitrary bipartitions, bipartition
-enumeration/sampling, and the AME verifier.
+"""Von Neumann entropies over arbitrary bipartitions: the dense spectrum
+(the oracle), the AME verifier, bipartition enumeration/sampling, and the
+one engine and row fold behind `analyze` and `reproduce`.
 
 Sites are numbered 1..n (site j is the j-th tensor factor, most significant
 first), matching the basis convention of the states module. Entropies are in
@@ -8,7 +9,8 @@ bits (base-2 logarithm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb, log2
 from typing import Callable, Iterator, Optional
@@ -16,6 +18,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import stabilizer
+from .codes import LinearCodeState, code_entropy
 from .errors import BadSpectrum, InvalidCut, TooLarge
 from .polytope import Polytope, opposite_face_pair
 from .states import StateVector
@@ -24,6 +27,8 @@ EIG_CUTOFF = 1e-12
 INTEGER_TOL = 1e-9
 EXHAUSTIVE_BUDGET = 200_000
 SPARSE_SUPPORT_MAX = 4096
+# The backends, by the name each row and report carries.
+DENSE, STABILIZER, CODE_RANK = "dense", "stabilizer", "code-rank"
 
 
 @dataclass(frozen=True)
@@ -92,16 +97,16 @@ def _spectrum_sparse(sv: StateVector, bp: Bipartition, nz: np.ndarray) -> np.nda
     return np.linalg.eigvalsh(gram)
 
 
-def _check_cut(sv: StateVector, bp: Bipartition) -> None:
-    if bp.n != sv.n:
-        raise InvalidCut(f"cut of {bp.n} sites applied to a {sv.n}-site state")
+def _check_cut(n: int, bp: Bipartition) -> None:
+    if bp.n != n:
+        raise InvalidCut(f"cut of {bp.n} sites applied to a {n}-site state")
 
 
 def entropy(sv: StateVector, bp: Bipartition) -> float:
     """Von Neumann entropy (bits) of the reduction to bp.a_sites, from the
     dense spectrum. This is the oracle the stabilizer path is checked
     against; it never routes through that path."""
-    _check_cut(sv, bp)
+    _check_cut(sv.n, bp)
     sv.check_normalized()
     small_side = min(bp.m, sv.n - bp.m)
     nz = None
@@ -187,15 +192,8 @@ def structured_partitions(pt: Polytope, m: Optional[int] = None) -> list[Biparti
                 continue
             seen_pairs.add((min(a, b), max(a, b)))
             blocks.append(tuple(sorted(v + 1 for v in pt.faces[a] + pt.faces[b])))
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for a, f in enumerate(pt.faces):
-        for i, u in enumerate(f):
-            v = f[(i + 1) % len(f)]
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(a)
-    for fs in edge_faces.values():
-        a, b = fs
-        sites = tuple(sorted({v + 1 for v in pt.faces[a] + pt.faces[b]}))
-        blocks.append(sites)
+    for a, b in pt.edge_faces.values():
+        blocks.append(tuple(sorted({v + 1 for v in pt.faces[a] + pt.faces[b]})))
     out = []
     seen: set[tuple[int, ...]] = set()
     for sites in blocks:
@@ -209,18 +207,48 @@ def structured_partitions(pt: Polytope, m: Optional[int] = None) -> list[Biparti
 
 @dataclass
 class SweepRow:
+    """The entropies of one block size's cuts, folded into the set of values
+    seen, each with the first cut that attains it. An entropy within
+    INTEGER_TOL of an integer counts as that integer; any other is kept raw
+    and also listed in `non_integer`."""
+
     m: int
-    values: list[float]
-    witnesses: dict[float, tuple[int, ...]]
-    examined: int
     mode: str
     seed: Optional[int] = None
-    non_integer: list[float] = None
-    backend: str = "dense"
+    backend: str = DENSE
+    witnesses: dict[float, tuple[int, ...]] = field(default_factory=dict)
+    examined: int = 0
+    non_integer: list[float] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.non_integer is None:
-            self.non_integer = []
+    @property
+    def values(self) -> list[float]:
+        return sorted(self.witnesses)
+
+    def fold(self, entropies, parts) -> "SweepRow":
+        """Add the cuts `parts`, whose entropies `entropies` computes."""
+        bps = list(parts)
+        for bp, s in zip(bps, entropies(bps)):
+            rounded = round(s)
+            if abs(s - rounded) <= INTEGER_TOL:
+                val = float(rounded)
+            else:
+                val = s
+                self.non_integer.append(s)
+            self.witnesses.setdefault(val, bp.a_sites)
+        self.examined += len(bps)
+        return self
+
+    def to_dict(self) -> dict:
+        return {
+            "m": self.m,
+            "values": self.values,
+            "witnesses": {str(v): list(self.witnesses[v]) for v in self.values},
+            "examined": self.examined,
+            "mode": self.mode,
+            "seed": self.seed,
+            "non_integer": self.non_integer,
+            "backend": self.backend,
+        }
 
 
 @dataclass
@@ -230,81 +258,47 @@ class EntropyReport:
     eig_cutoff: float = EIG_CUTOFF
     integer_tolerance: float = INTEGER_TOL
 
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(sv: StateVector) -> None:
-    _POOL_STATE["sv"] = sv
-
-
-def _pool_entropy(bp: Bipartition) -> float:
-    return entropy(_POOL_STATE["sv"], bp)
-
-
-def worker_count() -> int:
-    import os
-
-    try:
-        return max(1, int(os.environ.get("POLYAME_WORKERS", "1")))
-    except ValueError:
-        return 1
+    def to_dict(self) -> dict:
+        return {
+            "state_id": self.state_id,
+            "rows": [row.to_dict() for row in self.rows],
+            "tolerances": {
+                "eig_cutoff": self.eig_cutoff,
+                "integer_tolerance": self.integer_tolerance,
+            },
+        }
 
 
-def batch_entropies(sv: StateVector, bps: list, workers: Optional[int] = None) -> list[float]:
-    """Entropies for a list of bipartitions; order of results matches input,
-    so serial and parallel runs assemble identical reports."""
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(bps) < 8:
-        return [entropy(sv, bp) for bp in bps]
-    import multiprocessing as mp
-
-    with mp.get_context("fork").Pool(workers, _pool_init, (sv,)) as pool:
-        return pool.map(_pool_entropy, bps, chunksize=max(1, len(bps) // (4 * workers)))
+def batch_entropies(sv: StateVector, bps: list) -> list[float]:
+    """Dense entropies of a list of bipartitions, in order."""
+    return [entropy(sv, bp) for bp in bps]
 
 
-def entropy_engine(sv: StateVector) -> tuple[Callable[[list], list[float]], str]:
-    """The one place that picks how a dense state's cut entropies are
-    computed: recognise sv once as a stabilizer state and use the rank
-    formula ("stabilizer"), else dense spectra ("dense"). Returns the
-    function from a list of bipartitions to their entropies (bits), and the
-    backend's name."""
-    sv.check_normalized()
-    st = stabilizer.from_statevector(sv)
-    if st is None:
-        return (lambda bps: batch_entropies(sv, bps)), "dense"
+def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
+    """The one place that picks how a state's cut entropies are computed.
+    A LinearCodeState uses the rank formula of its generator (CODE_RANK).
+    A dense state is recognised once as a stabilizer state and uses the
+    rank formula of its quadratic form (STABILIZER), else dense spectra
+    (DENSE). Returns the function from a list of bipartitions to their
+    entropies (bits), and the backend's name."""
+    if isinstance(state, LinearCodeState):
+        backend, cut_entropy = CODE_RANK, partial(code_entropy, state)
+    else:
+        state.check_normalized()
+        st = stabilizer.from_statevector(state)
+        if st is None:
+            return (lambda bps: batch_entropies(state, bps)), DENSE
+        backend, cut_entropy = STABILIZER, partial(stabilizer.stabilizer_entropy, st)
+    n = state.n
 
     def entropies(bps):
         out = []
         for bp in bps:
-            _check_cut(sv, bp)
-            out.append(float(stabilizer.stabilizer_entropy(st, [s - 1 for s in bp.a_sites])))
+            _check_cut(n, bp)
+            out.append(float(cut_entropy([s - 1 for s in bp.a_sites])))
         return out
 
-    return entropies, "stabilizer"
-
-
-def sweep_entropies(sv: StateVector, bps: list) -> tuple[list[float], str]:
-    """Entropies of bps (in order) and the backend that produced them."""
-    entropies, backend = entropy_engine(sv)
-    return entropies(bps), backend
-
-
-def _observe(entropies, parts, row: SweepRow) -> None:
-    bps = list(parts)
-    for bp, s in zip(bps, entropies(bps)):
-        rounded = round(s)
-        if abs(s - rounded) <= INTEGER_TOL:
-            val = float(rounded)
-        else:
-            val = s
-            row.non_integer.append(s)
-        if val not in row.witnesses:
-            row.witnesses[val] = bp.a_sites
-            row.values.append(val)
-        row.examined += 1
-    row.values.sort()
+    return entropies, backend
 
 
 def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyReport:
@@ -315,16 +309,16 @@ def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyRepo
     rows = []
     for m, mode in plan:
         if mode == "exhaustive":
-            row = SweepRow(m, [], {}, 0, "exhaustive", backend=backend)
-            _observe(entropies, exhaustive_partitions(sv.n, m), row)
+            row = SweepRow(m, "exhaustive", backend=backend)
+            parts = exhaustive_partitions(sv.n, m)
         elif mode[0] == "sample":
             _, count, seed = mode
-            row = SweepRow(m, [], {}, 0, "sampled", seed=seed, backend=backend)
-            _observe(entropies, sample_partitions(sv.n, m, count, seed), row)
+            row = SweepRow(m, "sampled", seed, backend)
+            parts = sample_partitions(sv.n, m, count, seed)
         elif mode[0] == "structured":
-            row = SweepRow(m, [], {}, 0, "structured", backend=backend)
-            _observe(entropies, structured_partitions(mode[1], m), row)
+            row = SweepRow(m, "structured", backend=backend)
+            parts = structured_partitions(mode[1], m)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        rows.append(row)
+        rows.append(row.fold(entropies, parts))
     return EntropyReport(state_id, rows)

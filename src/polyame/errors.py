@@ -54,3 +54,9 @@ class BadSpectrum(PolyameError, ArithmeticError):
 
 class BadStateFile(PolyameError, ValueError):
     """A state file whose header or payload is malformed or over budget."""
+
+
+class InvalidContraction(PolyameError, ValueError):
+    """A contraction with an unknown mode, or whose face assignments do not
+    cover each face of the solid exactly once, or one a routine does not
+    support (the brute-force hovering reference takes qubits only)."""

@@ -24,38 +24,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic handle for GF(p): add/sub/mul/inv/pow on integers in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise NotPrime(f"modulus {p} is not prime")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        # Python's pow is already square-and-multiply.
-        return pow(a % self.p, e, self.p)
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        # Fermat: a^(p-2) = a^(-1) for prime p.
-        return pow(a, self.p - 2, self.p)
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
 class GfMatrix:
     """A rows x cols matrix over GF(p), stored as an int64 numpy array.
 

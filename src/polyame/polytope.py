@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NoOppositeFace, UnknownSolid
+from .errors import NoOppositeFace, NotPrime, UnknownSolid
 from .gf import GfMatrix, is_prime
 
 
@@ -27,19 +28,26 @@ class Polytope:
     def face_count(self) -> int:
         return len(self.faces)
 
+    @cached_property
+    def edge_faces(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each undirected edge (u < v) mapped to the faces whose cycles
+        contain it (two on a closed solid), in the order the cycles first
+        reach the edges: faces in order, cycle positions in order."""
+        faces_of: dict[tuple[int, int], list[int]] = {}
+        for a, f in enumerate(self.faces):
+            for i, u in enumerate(f):
+                v = f[(i + 1) % len(f)]
+                faces_of.setdefault((min(u, v), max(u, v)), []).append(a)
+        return {e: tuple(fs) for e, fs in faces_of.items()}
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of undirected edges (u < v) collected from face cycles."""
-        es = set()
-        for f in self.faces:
-            for i, u in enumerate(f):
-                v = f[(i + 1) % len(f)]
-                es.add((min(u, v), max(u, v)))
-        return tuple(sorted(es))
+        return tuple(sorted(self.edge_faces))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_faces)
 
 
 def _tetrahedron() -> Polytope:
@@ -151,14 +159,8 @@ def face_parity_matrix(pt: Polytope) -> GfMatrix:
 
 def face_adjacency_distance(pt: Polytope, face: int) -> list[int]:
     """BFS distances from `face` in the graph of faces sharing an edge."""
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for a, f in enumerate(pt.faces):
-        for i, u in enumerate(f):
-            v = f[(i + 1) % len(f)]
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(a)
     adj: list[set[int]] = [set() for _ in pt.faces]
-    for fs in edge_faces.values():
-        a, b = fs
+    for a, b in pt.edge_faces.values():
         adj[a].add(b)
         adj[b].add(a)
     dist = [-1] * pt.face_count
@@ -199,7 +201,8 @@ class SolidCodeEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "p", self.n - 1)
-        assert is_prime(self.p), f"{self.solid} {self.feature}: {self.n} - 1 not prime"
+        if not is_prime(self.p):
+            raise NotPrime(f"{self.solid} {self.feature}: {self.n} - 1 not prime")
 
     @property
     def ame_label(self) -> str:

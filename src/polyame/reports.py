@@ -21,7 +21,6 @@ import numpy as np
 
 from . import reference as ref
 from .codes import (
-    code_entropy,
     codeword_census,
     from_parity_checks,
     is_ame_code,
@@ -30,12 +29,14 @@ from .codes import (
 )
 from .contraction import build_d1, build_hovering
 from .entropy import (
+    CODE_RANK,
+    DENSE,
     INTEGER_TOL,
+    SweepRow,
     entropy_engine,
     exhaustive_partitions,
     sample_partitions,
     structured_partitions,
-    sweep_entropies,
     verify_ame,
 )
 from .polytope import face_parity_matrix, platonic, table3
@@ -123,61 +124,45 @@ def reproduce_ame62_eq8() -> PaperTableResult:
     return _result(
         "ame62_eq8",
         diffs,
-        {"worst_deviation": verdict.worst_deviation, "backend": "dense"},
+        {"worst_deviation": verdict.worst_deviation, "backend": DENSE},
     )
-
-
-def _observe_row(values_sites, target, diffs, m):
-    """Fold (entropy, sites) pairs into a witness map, diffing against the
-    reference value set for this block size."""
-    seen: dict[int, tuple[int, ...]] = {}
-    for s, sites in values_sites:
-        r = round(s)
-        if abs(s - r) > INTEGER_TOL:
-            diffs.append({"m": m, "non_integer_entropy": s, "sites": list(sites)})
-            continue
-        if r not in seen:
-            seen[r] = sites
-            if r not in target:
-                diffs.append(
-                    {"m": m, "value_outside_reference": r, "sites": list(sites)}
-                )
-    return seen
 
 
 def _row(entropies, backend, n, m, mode, target, diffs, structured_pt=None):
     """One table row: exhaustive or seeded-sample entropies from
     `entropies` (a list of bipartitions to their entropies), extending the
     sample until every reference value is witnessed or the witness budget
-    is spent."""
+    is spent. Appends to `diffs` each value outside `target` and each
+    non-integer entropy, with its witness, then each unwitnessed value of
+    `target`."""
     if mode == "exhaustive":
-        bps = list(exhaustive_partitions(n, m))
+        row = SweepRow(m, mode, backend=backend).fold(entropies, exhaustive_partitions(n, m))
     else:
         bps = sample_partitions(n, m, SAMPLES_PER_M, seed=m)
         if structured_pt is not None:
             bps.extend(structured_partitions(structured_pt, m))
-    vals = entropies(bps)
-    seen = _observe_row(zip(vals, (bp.a_sites for bp in bps)), target, diffs, m)
-    examined = len(bps)
-    round_no = 1
-    while mode != "exhaustive" and sorted(set(target) - set(seen)) and examined < WITNESS_BUDGET:
-        more = sample_partitions(n, m, 1000, seed=10_000 * round_no + m)
-        round_no += 1
-        examined += len(more)
-        vals = entropies(more)
-        for v, sites in _observe_row(
-            zip(vals, (bp.a_sites for bp in more)), target, diffs, m
-        ).items():
-            seen.setdefault(v, sites)
-    for value in sorted(set(target) - set(seen)):
+        row = SweepRow(m, mode, m, backend).fold(entropies, bps)
+        round_no = 1
+        while set(target) - set(row.witnesses) and row.examined < WITNESS_BUDGET:
+            row.fold(entropies, sample_partitions(n, m, 1000, seed=10_000 * round_no + m))
+            round_no += 1
+    ints = {}
+    for v, sites in row.witnesses.items():
+        if not v.is_integer():
+            diffs.append({"m": m, "non_integer_entropy": v, "sites": list(sites)})
+            continue
+        ints[int(v)] = sites
+        if v not in target:
+            diffs.append({"m": m, "value_outside_reference": int(v), "sites": list(sites)})
+    for value in sorted(set(target) - set(ints)):
         diffs.append({"m": m, "unwitnessed_reference_value": value})
     return {
         "m": m,
         "mode": mode,
-        "seed": None if mode == "exhaustive" else m,
-        "examined": examined,
-        "values": sorted(seen),
-        "witnesses": {str(v): list(seen[v]) for v in sorted(seen)},
+        "seed": row.seed,
+        "examined": row.examined,
+        "values": sorted(ints),
+        "witnesses": {str(v): list(ints[v]) for v in sorted(ints)},
         "backend": backend,
     }
 
@@ -212,16 +197,13 @@ def reproduce_table2() -> PaperTableResult:
             )
         )
     code = from_parity_checks(face_parity_matrix(pt))
-
-    def code_entropies(bps):
-        return [float(code_entropy(code, [s - 1 for s in bp.a_sites])) for bp in bps]
-
+    code_entropies, code_backend = entropy_engine(code)
     d2_rows = []
     for m in range(1, 11):
         d2_rows.append(
             _row(
                 code_entropies,
-                "code-rank",
+                code_backend,
                 code.n,
                 m,
                 "exhaustive",
@@ -292,7 +274,7 @@ def reproduce_rs12_11() -> PaperTableResult:
     return _result(
         "rs12_11",
         diffs,
-        {"k": cs.k, "n": cs.n, "min_distance": d_h, "ame": bool(ame), "backend": "code-rank"},
+        {"k": cs.k, "n": cs.n, "min_distance": d_h, "ame": bool(ame), "backend": CODE_RANK},
     )
 
 
@@ -304,7 +286,8 @@ def reproduce_hovering() -> PaperTableResult:
     sv = build_hovering()
     lo, hi = ref.REFERENCE_HOVERING_RANGE
     bps = list(exhaustive_partitions(sv.n, sv.n // 2))
-    values, backend = sweep_entropies(sv, bps)
+    entropies, backend = entropy_engine(sv)
+    values = entropies(bps)
     ints = set()
     for bp, s in zip(bps, values):
         r = round(s)

@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb, log2
 
 import numpy as np
+import pytest
 
 from polyame.codes import (
     code_entropy,
@@ -125,6 +126,7 @@ def test_c2_negative_control():
     print(f"[C2] PASS negative control: 2|2 entropy {s} (target 2), rejected")
 
 
+@pytest.mark.slow
 def test_c3_tabulated_state_entropy_row():
     """Block-entropy value sets of the 20-qubit state from the tabulated
     tensor match the recorded row for every block size."""
@@ -288,6 +290,7 @@ def test_c7_solid_code_table():
     print("[C7] PASS solid code table: 15 entries, all n = p + 1 with p prime")
 
 
+@pytest.mark.slow
 def test_c8_hovering_state():
     """Balanced 6|6 entropies of the 12-qubit hovering state span exactly
     [4, 6] in integer steps; the contraction is order-independent."""

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polyame.cli import RunConfig, main, run
+from polyame.cli import main
 from polyame.contraction import build_d2
-from polyame.stateio import read_state
+from polyame.entropy import Bipartition, entropy
+from polyame.stateio import read_state, write_state
+from polyame.states import normalized
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +87,30 @@ def test_analyze_exhaustive(runner, d2_file, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     row = doc["rows"][0]
+    assert list(row) == [
+        "m", "values", "witnesses", "examined", "mode", "seed", "non_integer", "backend",
+    ]
     assert row["m"] == 3 and row["mode"] == "exhaustive"
     assert row["values"] == [3.0] and row["examined"] == 1140
     assert row["backend"] == "stabilizer"  # d2 is a code state
     assert doc["tolerances"]["integer_tolerance"] == 1e-9
+
+
+def test_analyze_dense_state_reports_raw_values(runner, tmp_path):
+    """A random state is no stabilizer state: its entropies are not
+    integers, so they appear raw in values, witnesses and non_integer."""
+    sv = normalized(6, 2, np.random.default_rng(3).normal(size=64))
+    state, out = tmp_path / "rnd.bin", tmp_path / "r.json"
+    write_state(state, sv, "float64")
+    res = runner.invoke(main, ["analyze", "--state", str(state), "--m", "2", "--out", str(out)])
+    assert res.exit_code == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["backend"] == "dense" and row["examined"] == 15
+    assert len(row["non_integer"]) == 15
+    assert row["values"] == sorted(set(row["non_integer"]))
+    assert list(row["witnesses"]) == [str(v) for v in row["values"]]
+    for v in row["values"]:
+        assert entropy(sv, Bipartition(6, tuple(row["witnesses"][str(v)]))) == v
 
 
 def test_analyze_csv(runner, d2_file, tmp_path):
@@ -166,6 +188,7 @@ def test_code_d2(runner, tmp_path):
     assert (doc["p"], doc["n"], doc["k"], doc["d_H"]) == (2, 20, 8, 6)
 
 
+@pytest.mark.slow
 def test_code_d2_entropies(runner, tmp_path):
     out = tmp_path / "d2ent.json"
     res = runner.invoke(main, ["code", "d2", "--entropies", "--out", str(out)])
@@ -202,12 +225,6 @@ def test_reproduce_crash_is_a_fail(runner, tmp_path, monkeypatch):
     assert block["status"] == "fail"
     assert block["diffs"] == [{"exception": "RuntimeError: pipeline broke"}]
     assert "RuntimeError" in block["metadata"]["traceback"]
-
-
-def test_run_config_api():
-    # the programmatic entry point returns process exit codes
-    assert run(RunConfig("code_rs", p=4)) == 2
-    assert run(RunConfig("polytope_show", name="octahedron")) == 0
 
 
 def test_documented_pipeline(runner, tmp_path):

@@ -14,10 +14,11 @@ from polyame.contraction import (
     build_d2,
     build_hovering,
     contract,
+    hovering_accumulate_reference,
     sign_lemma_check,
 )
 from polyame.entropy import Bipartition, entropy, sample_partitions
-from polyame.errors import ZeroState
+from polyame.errors import InvalidContraction, ZeroState
 from polyame.polytope import face_parity_matrix, platonic
 from polyame.states import ame43, digits_of, normalized
 
@@ -89,10 +90,32 @@ def test_assignment_validation():
     pt = platonic("tetrahedron")
     with pytest.raises(ValueError):
         _assign_all(pt, ame43(), [0, 1])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidContraction):  # face 0 four times
         AgreementContraction(
             pt, tuple(FaceAssignment(0, ame43(), 0) for _ in range(4)), "vertex"
         )
+
+
+_TETRA = platonic("tetrahedron")
+_EVERY_FACE = _assign_all(_TETRA, ame43(), None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AgreementContraction(_TETRA, _EVERY_FACE, "edge"),
+        lambda: AgreementContraction(_TETRA, _EVERY_FACE[:3], "vertex"),
+        # the brute-force reference takes qubit tensors only
+        lambda: hovering_accumulate_reference(
+            AgreementContraction(_TETRA, _EVERY_FACE, "hovering")
+        ),
+    ],
+    ids=["unknown_mode", "face_missing", "qutrit_reference"],
+)
+def test_contraction_rejects_bad_input(make):
+    """Validation that must survive `python -O`: raised, not asserted."""
+    with pytest.raises(InvalidContraction):
+        make()
 
 
 def test_hovering_shape_and_order_independence():

@@ -1,6 +1,5 @@
 """Entropy kernel, bipartition enumeration, and the AME verifier."""
 
-import os
 from math import comb
 
 import numpy as np
@@ -10,16 +9,17 @@ from polyame.entropy import (
     Bipartition,
     _spectrum_dense,
     _spectrum_sparse,
-    batch_entropies,
     entropy,
+    entropy_engine,
     entropy_sweep,
     exhaustive_partitions,
     sample_partitions,
     structured_partitions,
     verify_ame,
 )
+from polyame.codes import code_entropy, from_parity_checks
 from polyame.errors import InvalidCut, TooLarge
-from polyame.polytope import platonic
+from polyame.polytope import face_parity_matrix, platonic
 from polyame.states import ame43, ame52_table1, ghz, normalized
 
 
@@ -148,20 +148,11 @@ def test_entropy_sweep_modes():
         entropy_sweep(sv, [(1, ("bogus",))])
 
 
-def test_batch_entropies_parallel_matches_serial():
-    sv = ame52_table1()
-    bps = list(exhaustive_partitions(5, 2))
-    serial = batch_entropies(sv, bps, workers=1)
-    parallel = batch_entropies(sv, bps, workers=2)
-    assert serial == parallel
-
-
-def test_worker_count_env(monkeypatch):
-    from polyame.entropy import worker_count
-
-    monkeypatch.delenv("POLYAME_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("POLYAME_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("POLYAME_WORKERS", "junk")
-    assert worker_count() == 1
+def test_engine_takes_code_states():
+    code = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
+    entropies, backend = entropy_engine(code)
+    assert backend == "code-rank"
+    bps = sample_partitions(20, 7, 20, seed=1)
+    assert entropies(bps) == [float(code_entropy(code, [s - 1 for s in bp.a_sites])) for bp in bps]
+    with pytest.raises(InvalidCut):
+        entropies([Bipartition(12, (1, 2))])

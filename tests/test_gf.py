@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polyame.errors import NotPrime
 from polyame.gf import (
     GfMatrix,
-    PrimeField,
     eliminate,
     is_prime,
     matmul,
@@ -32,29 +31,7 @@ def test_is_prime_small():
         assert is_prime(x) == (x in primes)
 
 
-def test_prime_field_inverse():
-    for p in PRIMES:
-        f = PrimeField(p)
-        for a in range(1, p):
-            assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
-
-
-def test_prime_field_ops_match_ints():
-    f = PrimeField(7)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b = (int(x) for x in rng.integers(0, 7, 2))
-        assert f.add(a, b) == (a + b) % 7
-        assert f.sub(a, b) == (a - b) % 7
-        assert f.mul(a, b) == (a * b) % 7
-        assert f.pow(a, 5) == pow(a, 5, 7)
-
-
 def test_not_prime_rejected():
-    with pytest.raises(NotPrime):
-        PrimeField(6)
     with pytest.raises(NotPrime):
         GfMatrix([[1]], 9)
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from polyame.errors import NoOppositeFace, UnknownSolid
+from polyame.errors import NoOppositeFace, NotPrime, UnknownSolid
 from polyame.gf import rank
 from polyame.polytope import (
     SOLID_NAMES,
+    SolidCodeEntry,
     face_adjacency_distance,
     face_parity_matrix,
     opposite_face_pair,
@@ -47,6 +48,18 @@ def test_every_edge_on_two_faces():
                 count[(min(u, w), max(u, w))] = count.get((min(u, w), max(u, w)), 0) + 1
         assert set(count.values()) == {2}
         assert len(count) == pt.edge_count
+        # the map keeps the order in which the face cycles first reach edges
+        assert list(pt.edge_faces) == list(count)
+        for (u, w), (a, b) in pt.edge_faces.items():
+            assert a < b and {u, w} <= set(pt.faces[a]) & set(pt.faces[b])
+        assert pt.edges == tuple(sorted(count))
+
+
+def test_solid_code_entry_needs_a_prime():
+    """Raised, not asserted, so it holds under `python -O`."""
+    assert SolidCodeEntry("dodecahedron", "faces", 12).p == 11
+    with pytest.raises(NotPrime):
+        SolidCodeEntry("hexahedron", "edges+1", 13)
 
 
 def test_unknown_solid():

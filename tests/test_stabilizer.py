@@ -15,10 +15,10 @@ from polyame.entropy import (
     Bipartition,
     batch_entropies,
     entropy,
+    entropy_engine,
     entropy_sweep,
     exhaustive_partitions,
     sample_partitions,
-    sweep_entropies,
     verify_ame,
 )
 from polyame.errors import InvalidCode
@@ -90,7 +90,7 @@ def test_recognition_rejects(name):
     assert from_statevector(sv) is None
     (row,) = entropy_sweep(sv, [(1, "exhaustive")]).rows
     assert row.backend == "dense"
-    assert sweep_entropies(sv, list(exhaustive_partitions(sv.n, 1)))[1] == "dense"
+    assert entropy_engine(sv)[1] == "dense"
 
 
 def test_recognition_rejects_zero_vector():
@@ -117,9 +117,10 @@ def test_dodecahedron_states_are_recognised(build, k):
 def test_hovering_balanced_cuts_match_dense():
     sv = build_hovering()
     bps = list(exhaustive_partitions(sv.n, sv.n // 2))
-    values, backend = sweep_entropies(sv, bps)
+    entropies, backend = entropy_engine(sv)
+    values = entropies(bps)
     assert backend == "stabilizer"
-    assert np.allclose(values, batch_entropies(sv, bps, workers=1), atol=1e-9, rtol=0)
+    assert np.allclose(values, batch_entropies(sv, bps), atol=1e-9, rtol=0)
     assert set(values) == {4.0, 5.0, 6.0}
 
 
@@ -132,11 +133,11 @@ def test_dense_oracle_never_calls_stabilizer(monkeypatch):
     sv = ame52_table1()
     bps = list(exhaustive_partitions(5, 2))
     assert entropy(sv, bps[0]) == pytest.approx(2.0, abs=1e-9)
-    assert batch_entropies(sv, bps, workers=1) == pytest.approx([2.0] * 10, abs=1e-9)
+    assert batch_entropies(sv, bps) == pytest.approx([2.0] * 10, abs=1e-9)
     assert verify_ame(sv).ok
     # The routing point is the one caller.
     with pytest.raises(RuntimeError, match="stabilizer path used"):
-        sweep_entropies(sv, bps)
+        entropy_engine(sv)
 
 
 def test_stabilizer_state_validates():
