@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 from itertools import combinations
-from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .codes import (
     rs_code_state,
 )
 from .contraction import build_d1, build_d2, build_hovering
-from .entropy import EXHAUSTIVE_BUDGET, entropy_sweep
+from .entropy import entropy_sweep
 from .errors import PolyameError
 from .polytope import face_parity_matrix, platonic
 from .reports import TABLE_IDS, reproduce, reproduce_all, results_to_json
@@ -222,21 +221,13 @@ def _report_csv(report) -> str:
 @click.option("--m", type=int, default=None, help="Single block size (alternative to --plan).")
 @click.option("--sample", type=int, default=None, help="Sample this many blocks instead of enumerating.")
 @click.option("--seed", type=int, default=None, help="Sampling seed (required with --sample).")
-@click.option("--budget", type=int, default=EXHAUSTIVE_BUDGET, show_default=True,
-              help="Cap on partitions per exhaustive sweep.")
 @click.option("--out", type=click.Path(), default=None, help="Report file (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @_exits
-def analyze(state_path, plan_path, m, sample, seed, budget, out, fmt):
+def analyze(state_path, plan_path, m, sample, seed, out, fmt):
     """Entropy sweep over bipartitions of a stored state."""
     sv = read_state(state_path)
     plan = _parse_plan(plan_path, m, sample, seed, sv.n)
-    for row_m, mode in plan:
-        if mode == "exhaustive" and comb(sv.n, row_m) > budget:
-            raise PolyameError(
-                f"exhaustive m={row_m} needs {comb(sv.n, row_m)} partitions; "
-                f"budget is {budget} (raise --budget or sample)"
-            )
     report = entropy_sweep(sv, plan, state_id=Path(state_path).stem)
     text = _report_csv(report) if fmt == "csv" else json.dumps(report.to_dict(), indent=2)
     _emit(text, out)

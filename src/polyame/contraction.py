@@ -41,6 +41,16 @@ class AgreementContraction:
                 f"assignments cover faces {faces}, not each of the "
                 f"{self.polytope.face_count} faces once"
             )
+        extra = int(self.mode == "hovering")  # the hovering site
+        for fa in self.assignments:
+            sites = len(self.polytope.faces[fa.face_index]) + extra
+            if fa.tensor.n != sites:
+                raise InvalidContraction(
+                    f"face {fa.face_index} needs a {sites}-site tensor in "
+                    f"{self.mode} mode, not {fa.tensor.n} sites"
+                )
+        if len({fa.tensor.d for fa in self.assignments}) != 1:
+            raise InvalidContraction("face tensors of different local dimensions")
 
 
 def _oriented_cycle(face: Sequence[int], orientation: int) -> tuple[int, ...]:
@@ -66,22 +76,6 @@ def _face_index_arrays(pt: Polytope, assignments, d: int) -> list[np.ndarray]:
     return out
 
 
-def _contract_vertex(ac: AgreementContraction) -> StateVector:
-    pt = ac.polytope
-    d = ac.assignments[0].tensor.d
-    if d**pt.vertex_count > DENSE_BUDGET:
-        raise TooLarge(
-            f"vertex-mode output d^V = {d}^{pt.vertex_count} exceeds {DENSE_BUDGET}"
-        )
-    amps = np.ones(d**pt.vertex_count, dtype=np.float64)
-    for fa, f_idx in zip(ac.assignments, _face_index_arrays(pt, ac.assignments, d)):
-        amps *= fa.tensor.amps[f_idx]
-    nrm = np.linalg.norm(amps)
-    if nrm == 0:
-        raise ZeroState("contraction annihilated all amplitudes")
-    return StateVector(pt.vertex_count, d, amps / nrm)
-
-
 def _hover_axis_order(tensor: StateVector, hover_position: int) -> np.ndarray:
     """Face tensor as an ndarray with axes (cycle pos 0..4, hover) given the
     1-based position of the hovering site within the tensor's sites."""
@@ -102,15 +96,29 @@ def _broadcast_to_union(t: np.ndarray, t_axes: list, union: list) -> np.ndarray:
     return t_sorted.reshape(shape)
 
 
-def _contract_hovering_eliminate(
-    ac: AgreementContraction, hover_position: int, face_order: Sequence[int]
-) -> np.ndarray:
-    """Face-by-face elimination: multiply face tensors along shared open
-    vertex axes (the agreement tensor makes this a diagonal product, not a
-    contraction), summing out each vertex once all its faces are absorbed.
-    Returns the unnormalized hover array with axes ordered by face index.
-    """
+def contract(
+    ac: AgreementContraction,
+    hover_position: int = 6,
+    face_order: Optional[Sequence[int]] = None,
+) -> StateVector:
+    """Contract the network face by face, in `face_order` (default: by face
+    index). Each oriented face tensor is multiplied onto a running array
+    over the union of their open axes (the agreement tensor makes this a
+    diagonal product, not a contraction). Vertex mode outputs one site per
+    vertex. Hovering mode sums out each vertex once all its faces are
+    absorbed and outputs one site per face: the site at `hover_position`
+    (1-based) of each face tensor. Every intermediate is held to
+    DENSE_BUDGET amplitudes."""
     pt = ac.polytope
+    d = ac.assignments[0].tensor.d
+    hovering = ac.mode == "hovering"
+    face_order = list(range(pt.face_count) if face_order is None else face_order)
+    if sorted(face_order) != list(range(pt.face_count)):
+        raise InvalidContraction(f"face order {face_order} is not a permutation of the faces")
+    if hovering and not all(1 <= hover_position <= len(f) + 1 for f in pt.faces):
+        raise InvalidContraction(
+            f"hover_position {hover_position} is not a site of every face tensor"
+        )
     remaining = [0] * pt.vertex_count
     for f in pt.faces:
         for v in f:
@@ -122,52 +130,30 @@ def _contract_hovering_eliminate(
     for a in face_order:
         fa = by_face[a]
         cyc = _oriented_cycle(pt.faces[a], fa.orientation)
-        t = _hover_axis_order(fa.tensor, hover_position)
-        t_axes = [("v", v) for v in cyc] + [("h", a)]
+        t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
+        t_axes = [("v", v) for v in cyc]
+        if hovering:
+            t_axes.insert(hover_position - 1, ("h", a))
         union = cur_axes + [ax for ax in t_axes if ax not in cur_axes]
+        if d ** len(union) > DENSE_BUDGET:
+            raise TooLarge(
+                f"{ac.mode}-mode intermediate d^{len(union)} = {d}^{len(union)} "
+                f"exceeds {DENSE_BUDGET}"
+            )
         cur = cur.reshape(cur.shape + (1,) * (len(union) - len(cur_axes)))
         cur = cur * _broadcast_to_union(t, t_axes, union)
         cur_axes = union
         for v in cyc:
             remaining[v] -= 1
-            if remaining[v] == 0:
+            if hovering and remaining[v] == 0:
                 ax = cur_axes.index(("v", v))
                 cur = cur.sum(axis=ax)
                 cur_axes.pop(ax)
-    assert all(r == 0 for r in remaining)
-    assert all(kind == "h" for kind, _ in cur_axes)
-    return cur.transpose(np.argsort([a for _, a in cur_axes]))
-
-
-def _contract_hovering(
-    ac: AgreementContraction, hover_position: int, face_order: Optional[Sequence[int]]
-) -> StateVector:
-    pt = ac.polytope
-    d = ac.assignments[0].tensor.d
-    if d**pt.face_count > DENSE_BUDGET:
-        raise TooLarge(
-            f"hovering output d^F = {d}^{pt.face_count} exceeds {DENSE_BUDGET}"
-        )
-    if face_order is None:
-        face_order = list(range(pt.face_count))
-    arr = _contract_hovering_eliminate(ac, hover_position, face_order)
-    amps = arr.reshape(-1)
+    amps = cur.transpose(np.argsort([i for _, i in cur_axes])).reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm == 0:
         raise ZeroState("contraction annihilated all amplitudes")
-    return StateVector(pt.face_count, d, amps / nrm)
-
-
-def contract(
-    ac: AgreementContraction,
-    hover_position: int = 6,
-    face_order: Optional[Sequence[int]] = None,
-) -> StateVector:
-    """Contract the network. Vertex mode outputs one site per vertex; hovering
-    mode one site per face (vertex spins are summed out)."""
-    if ac.mode == "vertex":
-        return _contract_vertex(ac)
-    return _contract_hovering(ac, hover_position, face_order)
+    return StateVector(len(cur_axes), d, amps / nrm)
 
 
 def hovering_accumulate_reference(
@@ -256,8 +242,6 @@ def build_hovering(
     """The 12-qubit state with one 6-qubit perfect state per pentagon: five
     sites glued to the pentagon's vertices, the site at `hover_position`
     (1-based, default the last) kept as the physical qubit of that face."""
-    if not 1 <= hover_position <= 6:
-        raise ValueError("hover_position must be in 1..6")
     pt = platonic("dodecahedron")
     ac = AgreementContraction(
         pt, _assign_all(pt, ame62(), orientations), "hovering"

@@ -157,8 +157,7 @@ def exhaustive_partitions(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> It
         raise TooLarge(
             f"C({n},{m}) = {total} exceeds exhaustive budget {budget}; sample instead"
         )
-    for sites in combinations(range(1, n + 1), m):
-        yield Bipartition(n, sites)
+    return (Bipartition(n, sites) for sites in combinations(range(1, n + 1), m))
 
 
 def sample_partitions(n: int, m: int, count: int, seed: int) -> list[Bipartition]:
@@ -304,7 +303,9 @@ def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
 def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyReport:
     """plan: iterable of (m, mode) where mode is 'exhaustive',
     ('sample', count, seed), or ('structured', polytope). The state is
-    recognised once; every row records the backend that computed it."""
+    recognised once; every row records the backend that computed it. The
+    whole plan is checked (exhaustive rows against the enumeration budget)
+    before any row is computed."""
     entropies, backend = entropy_engine(sv)
     rows = []
     for m, mode in plan:
@@ -320,5 +321,5 @@ def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyRepo
             parts = structured_partitions(mode[1], m)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        rows.append(row.fold(entropies, parts))
-    return EntropyReport(state_id, rows)
+        rows.append((row, parts))
+    return EntropyReport(state_id, [row.fold(entropies, parts) for row, parts in rows])

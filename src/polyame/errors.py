@@ -57,6 +57,7 @@ class BadStateFile(PolyameError, ValueError):
 
 
 class InvalidContraction(PolyameError, ValueError):
-    """A contraction with an unknown mode, or whose face assignments do not
-    cover each face of the solid exactly once, or one a routine does not
-    support (the brute-force hovering reference takes qubits only)."""
+    """A contraction whose mode, face assignments (each face once, each with
+    a tensor of one site per vertex, plus the hovering site in hovering
+    mode, all of one d), hovering position or face order does not fit, or
+    one a routine does not support (the hovering reference takes qubits)."""

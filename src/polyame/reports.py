@@ -282,27 +282,26 @@ def reproduce_hovering() -> PaperTableResult:
     """Balanced-cut entropy range of the 12-qubit hovering state, plus a
     contraction-order invariance check."""
     diffs: list = []
-    fail = False
     sv = build_hovering()
     lo, hi = ref.REFERENCE_HOVERING_RANGE
-    bps = list(exhaustive_partitions(sv.n, sv.n // 2))
     entropies, backend = entropy_engine(sv)
-    values = entropies(bps)
-    ints = set()
-    for bp, s in zip(bps, values):
-        r = round(s)
-        if abs(s - r) > INTEGER_TOL:
-            diffs.append({"non_integer_entropy": s, "sites": list(bp.a_sites)})
-            fail = True
-        elif not lo - INTEGER_TOL <= s <= hi + INTEGER_TOL:
-            diffs.append({"out_of_range": s, "sites": list(bp.a_sites)})
+    row = SweepRow(sv.n // 2, "exhaustive", backend=backend).fold(
+        entropies, exhaustive_partitions(sv.n, sv.n // 2)
+    )
+    ints = []
+    for v, sites in row.witnesses.items():
+        if not v.is_integer():
+            diffs.append({"non_integer_entropy": v, "sites": list(sites)})
+        elif not lo <= v <= hi:
+            diffs.append({"out_of_range": v, "sites": list(sites)})
         else:
-            ints.add(r)
+            ints.append(int(v))
     for endpoint in (lo, hi):
         if endpoint not in ints:
             diffs.append(
                 {"endpoint_not_attained": endpoint, "observed": sorted(ints)}
             )
+    fail = bool(row.non_integer)
     sv2 = build_hovering(face_order=list(reversed(range(12))))
     dev = float(np.max(np.abs(sv.amps - sv2.amps)))
     if dev > 1e-12:
@@ -311,7 +310,7 @@ def reproduce_hovering() -> PaperTableResult:
     return _result(
         "hovering",
         diffs,
-        {"values": sorted(ints), "cuts": len(bps), "order_deviation": dev, "backend": backend},
+        {"values": sorted(ints), "cuts": row.examined, "order_deviation": dev, "backend": backend},
         fail=fail,
     )
 

@@ -10,7 +10,7 @@ from polyame.cli import main
 from polyame.contraction import build_d2
 from polyame.entropy import Bipartition, entropy
 from polyame.stateio import read_state, write_state
-from polyame.states import normalized
+from polyame.states import ghz, normalized
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +149,11 @@ def test_analyze_config_errors(runner, d2_file, tmp_path):
     assert res.exit_code == 2  # sampling without a seed
     res = runner.invoke(main, ["analyze", "--state", d2_file])
     assert res.exit_code == 2  # neither plan nor m
-    res = runner.invoke(
-        main, ["analyze", "--state", d2_file, "--m", "10", "--budget", "1000"]
-    )
-    assert res.exit_code == 2  # exhaustive sweep larger than the budget
+    ghz_file = tmp_path / "ghz21.bin"
+    write_state(ghz_file, ghz(21))
+    res = runner.invoke(main, ["analyze", "--state", str(ghz_file), "--m", "10"])
+    assert res.exit_code == 2  # C(21, 10) = 352,716 cuts: sample instead
+    assert "exceeds exhaustive budget" in res.output
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([{"m": 3, "mode": "sampled", "count": 5}]))
     res = runner.invoke(main, ["analyze", "--state", d2_file, "--plan", str(plan)])

@@ -4,6 +4,7 @@ and the hovering mode."""
 import numpy as np
 import pytest
 
+from polyame import contraction
 from polyame.codes import dense_statevector, from_parity_checks
 from polyame.contraction import (
     AgreementContraction,
@@ -18,9 +19,9 @@ from polyame.contraction import (
     sign_lemma_check,
 )
 from polyame.entropy import Bipartition, entropy, sample_partitions
-from polyame.errors import InvalidContraction, ZeroState
+from polyame.errors import InvalidContraction, TooLarge, ZeroState
 from polyame.polytope import face_parity_matrix, platonic
-from polyame.states import ame43, digits_of, normalized
+from polyame.states import ame43, ame52_table1, ame62, digits_of, normalized
 
 
 def test_oriented_cycle():
@@ -97,6 +98,7 @@ def test_assignment_validation():
 
 
 _TETRA = platonic("tetrahedron")
+_DODECA = platonic("dodecahedron")
 _EVERY_FACE = _assign_all(_TETRA, ame43(), None)
 
 
@@ -109,8 +111,41 @@ _EVERY_FACE = _assign_all(_TETRA, ame43(), None)
         lambda: hovering_accumulate_reference(
             AgreementContraction(_TETRA, _EVERY_FACE, "hovering")
         ),
+        # a 6-site tensor on pentagons in vertex mode, a 5-site one in hovering mode
+        lambda: AgreementContraction(_DODECA, _assign_all(_DODECA, ame62(), None), "vertex"),
+        lambda: AgreementContraction(
+            _DODECA, _assign_all(_DODECA, ame52_table1(), None), "hovering"
+        ),
+        lambda: AgreementContraction(
+            _TETRA,
+            _assign_all(_TETRA, normalized(3, 2, [1] * 8), None)[:3]
+            + (FaceAssignment(3, normalized(3, 3, [1] * 27)),),
+            "vertex",
+        ),
+        lambda: contract(
+            AgreementContraction(_TETRA, _EVERY_FACE, "hovering"), hover_position=0
+        ),
+        lambda: contract(
+            AgreementContraction(_DODECA, _assign_all(_DODECA, ame62(), None), "hovering"),
+            hover_position=9,
+        ),
+        lambda: contract(
+            AgreementContraction(_TETRA, _EVERY_FACE, "hovering"),
+            hover_position=4,
+            face_order=[0, 1, 2, 2],
+        ),
     ],
-    ids=["unknown_mode", "face_missing", "qutrit_reference"],
+    ids=[
+        "unknown_mode",
+        "face_missing",
+        "qutrit_reference",
+        "vertex_sites",
+        "hovering_sites",
+        "mixed_d",
+        "hover_position_0",
+        "hover_position_9",
+        "face_order",
+    ],
 )
 def test_contraction_rejects_bad_input(make):
     """Validation that must survive `python -O`: raised, not asserted."""
@@ -135,40 +170,78 @@ def test_hovering_position_validation():
         build_hovering(hover_position=7)
 
 
-def _brute_hovering(pt, tensor, hover_position):
-    """Independent accumulation: loop global vertex configurations, multiply
-    per-face coefficients, accumulate into the d^F hover array."""
-    d, v, f_count = tensor.d, pt.vertex_count, pt.face_count
-    out = np.zeros(d**f_count)
-    h = hover_position - 1
+def _brute(pt, assignments, mode, hover_position=None):
+    """Independent sum over all vertex configurations: each face reads its
+    vertices along its cycle, rotated by its orientation. Vertex mode keeps
+    the product of face amplitudes at the configuration's index; hovering
+    mode accumulates the Kronecker product of per-face coefficient vectors
+    (one per value of the hovering site) into the d^F array."""
+    d, v = assignments[0].tensor.d, pt.vertex_count
+    out = np.zeros(d ** (v if mode == "vertex" else pt.face_count))
     for cfg in range(d**v):
         digits = digits_of(cfg, v, d)
-        per_face = []
-        for f in pt.faces:
-            vals = [digits[x] for x in f]
-            per_face.append(
-                [
-                    tensor.amplitude(tuple(vals[:h]) + (hv,) + tuple(vals[h:]))
-                    for hv in range(d)
-                ]
-            )
         block = np.ones(1)
-        for coeffs in per_face:
-            block = np.kron(block, np.array(coeffs))
-        out += block
+        for fa in sorted(assignments, key=lambda fa: fa.face_index):
+            f = pt.faces[fa.face_index]
+            k = fa.orientation % len(f)
+            vals = tuple(digits[x] for x in f[k:] + f[:k])
+            t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
+            if mode == "vertex":
+                block = block * t[vals]
+            else:
+                h = hover_position - 1
+                block = np.multiply.outer(block, t[vals[:h] + (slice(None),) + vals[h:]]).ravel()
+        if mode == "vertex":
+            out[cfg] = block[0]
+        else:
+            out += block
     return out / np.linalg.norm(out)
 
 
-def test_hovering_matches_brute_force_small():
-    """Tetrahedron with the 4-qutrit perfect tensor: the elimination-based
-    contraction equals a direct sum over all vertex configurations."""
-    pt = platonic("tetrahedron")
-    t = ame43()
-    for hover_position in (1, 4):
-        ac = AgreementContraction(pt, _assign_all(pt, t, None), "hovering")
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("solid", ["tetrahedron", "hexahedron", "octahedron"])
+def test_contraction_matches_brute_force(solid, d):
+    """Random real face tensors (one per face) and seeded orientations: both
+    modes, and every hover position, equal a direct sum over all vertex
+    configurations."""
+    pt = platonic(solid)
+    rng = np.random.default_rng(101 + 10 * d + pt.face_count)
+    size = len(pt.faces[0])
+
+    def assignments(sites):
+        return tuple(
+            FaceAssignment(
+                a,
+                normalized(sites, d, rng.standard_normal(d**sites)),
+                int(rng.integers(0, size)),
+            )
+            for a in range(pt.face_count)
+        )
+
+    fas = assignments(size)
+    got = contract(AgreementContraction(pt, fas, "vertex"))
+    assert got.n == pt.vertex_count
+    assert np.max(np.abs(got.amps - _brute(pt, fas, "vertex"))) < 1e-12
+    fas = assignments(size + 1)
+    ac = AgreementContraction(pt, fas, "hovering")
+    for hover_position in range(1, size + 2):
         got = contract(ac, hover_position=hover_position)
-        want = _brute_hovering(pt, t, hover_position)
+        assert got.n == pt.face_count
+        want = _brute(pt, fas, "hovering", hover_position)
         assert np.max(np.abs(got.amps - want)) < 1e-12
+
+
+def test_budget_holds_every_intermediate(monkeypatch):
+    """The dodecahedron's qubit hovering output has 2^12 amplitudes, but
+    its elimination passes through 2^20-amplitude intermediates; a 2^12
+    budget rejects it before any product. The octahedron's hovering
+    intermediates stay within 2^11, so it still contracts."""
+    monkeypatch.setattr(contraction, "DENSE_BUDGET", 2**12)
+    with pytest.raises(TooLarge):
+        build_hovering()
+    octa = platonic("octahedron")
+    fas = _assign_all(octa, normalized(4, 2, [1] * 16), None)
+    assert contract(AgreementContraction(octa, fas, "hovering"), hover_position=4).n == 8
 
 
 def test_hovering_entropies_are_integers():

@@ -1,5 +1,6 @@
 """Entropy kernel, bipartition enumeration, and the AME verifier."""
 
+import importlib
 from math import comb
 
 import numpy as np
@@ -102,6 +103,24 @@ def test_exhaustive_partitions():
     assert len({p.a_sites for p in parts}) == len(parts)
     with pytest.raises(TooLarge):
         list(exhaustive_partitions(20, 10, budget=1000))
+
+
+def test_sweep_checks_the_plan_before_any_row(monkeypatch):
+    """An over-budget exhaustive row stops the sweep before the cheap rows
+    ahead of it are computed."""
+    calls = []
+
+    def stub(bps):
+        calls.append(bps)
+        return [1.0] * len(bps)
+
+    # the package's `entropy` attribute is the function, so fetch the module
+    module = importlib.import_module("polyame.entropy")
+    monkeypatch.setattr(module, "entropy_engine", lambda sv: (stub, "stub"))
+    plan = [(1, "exhaustive"), (2, ("sample", 5, 3)), (10, "exhaustive")]
+    with pytest.raises(TooLarge, match="exceeds exhaustive budget"):
+        entropy_sweep(ghz(21), plan)
+    assert calls == []
 
 
 def test_sample_partitions_deterministic():

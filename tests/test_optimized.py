@@ -1,0 +1,66 @@
+"""Input validation must survive `python -O`, which strips asserts."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import polyame
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+
+    from polyame.contraction import AgreementContraction, _assign_all, contract
+    from polyame.entropy import Bipartition
+    from polyame.errors import BadStateFile, InvalidContraction, InvalidCut, NotPrime
+    from polyame.gf import GfMatrix
+    from polyame.polytope import platonic
+    from polyame.stateio import read_state
+    from polyame.states import ame52_table1, ame62
+
+    if __debug__:
+        sys.exit("not running under -O")
+
+    def bad_header():
+        with tempfile.NamedTemporaryFile(suffix=".bin") as fh:
+            fh.write(b"POLYAME\\x00" + bytes([1, 0, 2, 1, 0, 0, 0, 0, 0]))
+            fh.flush()
+            read_state(fh.name)
+
+    dodeca = platonic("dodecahedron")
+    hovering = AgreementContraction(dodeca, _assign_all(dodeca, ame62(), None), "hovering")
+    cases = {
+        "vertex_sites": (InvalidContraction, lambda: AgreementContraction(
+            dodeca, _assign_all(dodeca, ame62(), None), "vertex")),
+        "hovering_sites": (InvalidContraction, lambda: AgreementContraction(
+            dodeca, _assign_all(dodeca, ame52_table1(), None), "hovering")),
+        "hover_position": (InvalidContraction, lambda: contract(hovering, hover_position=9)),
+        "face_order": (InvalidContraction, lambda: contract(hovering, face_order=[0] * 12)),
+        "improper_cut": (InvalidCut, lambda: Bipartition(4, (1, 2, 3, 4))),
+        "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
+        "state_file_header": (BadStateFile, bad_header),
+    }
+    for name, (exc, make) in cases.items():
+        try:
+            make()
+        except exc:
+            continue
+        except Exception as other:
+            sys.exit(f"{name}: {type(other).__name__}: {other}")
+        sys.exit(f"{name}: nothing raised")
+    print("ok")
+    """
+)
+
+
+def test_validation_survives_optimized_python():
+    src = str(Path(polyame.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from polyame import reports
 from polyame.entropy import sample_partitions, structured_partitions
 from polyame.polytope import platonic
 from polyame.reports import (
@@ -19,6 +20,7 @@ from polyame.reports import (
     reproduce_table3,
     results_to_json,
 )
+from polyame.states import ghz
 
 
 def test_table1_passes():
@@ -121,3 +123,28 @@ def test_row_exhaustive_never_extends():
     row = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, "exhaustive", {2, 5}, diffs)
     assert row["examined"] == 15 and row["seed"] is None and row["values"] == [2]
     assert diffs == [{"m": 2, "unwitnessed_reference_value": 5}]
+
+
+def test_hovering_folds_stub_entropies(monkeypatch):
+    """The hovering report from a stub engine: a value within the integer
+    tolerance of 4 is in range, 7 is out of range, 4.5 is not an integer
+    (a fail), and the endpoint 6 is never attained."""
+    special = {3: 4.0 + 5e-10, 10: 7.0, 20: 4.5}
+    cuts = []
+
+    def stub(bps):
+        cuts.extend(bp.a_sites for bp in bps)
+        return [special.get(i, 5.0) for i in range(len(bps))]
+
+    monkeypatch.setattr(reports, "build_hovering", lambda face_order=None: ghz(12))
+    monkeypatch.setattr(reports, "entropy_engine", lambda sv: (stub, "stub"))
+    r = reports.reproduce_hovering()
+    assert len(cuts) == 924 and cuts[0] == (1, 2, 3, 4, 5, 6)
+    assert r.status == "fail"
+    assert r.diffs == [
+        {"out_of_range": 7.0, "sites": list(cuts[10])},
+        {"non_integer_entropy": 4.5, "sites": list(cuts[20])},
+        {"endpoint_not_attained": 6, "observed": [4, 5]},
+    ]
+    assert r.details == {"values": [4, 5], "cuts": 924, "order_deviation": 0.0, "backend": "stub"}
+    assert json.dumps(r.details["values"]) == "[4, 5]"
