@@ -5,6 +5,9 @@ A k-dimensional code C over GF(p) of length n represents the normalized state
 are exact integers in dits: S_A = rank(G_A) + rank(G_B) - k, with G_A, G_B the
 generator restricted to the two sides of the cut. This is the single entropy
 path used for code states; it stays exact where dense vectors are infeasible.
+
+Codewords are enumerated in blocks, each the transpose of an (n, rows) array
+in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
 """
 
 from __future__ import annotations
@@ -75,10 +78,7 @@ def rs_generator(p: int) -> GfMatrix:
     n = p + 1
     k = n // 2
     g = np.zeros((k, n), dtype=np.int64)
-    for j in range(p):
-        g[0, j] = 1
-        for r in range(1, k):
-            g[r, j] = (g[r - 1, j] * j) % p
+    g[:, :p] = [[pow(j, r, p) for j in range(p)] for r in range(k)]
     g[k - 1, n - 1] = 1
     return GfMatrix(g, p)
 
@@ -87,57 +87,59 @@ def rs_code_state(p: int) -> LinearCodeState:
     return LinearCodeState(p, p + 1, rs_generator(p))
 
 
-def _check_enum_budget(cs: LinearCodeState) -> None:
-    if cs.p**cs.k > ENUM_BUDGET:
-        raise TooLarge(
-            f"codeword enumeration p^k = {cs.p}^{cs.k} exceeds budget {ENUM_BUDGET}"
-        )
+def _check_budget(what: str, p: int, e: int, budget: int) -> None:
+    if p**e > budget:
+        raise TooLarge(f"{what} = {p}^{e} exceeds budget {budget}")
 
 
 def codeword_blocks(cs: LinearCodeState, block: int = 1 << 16) -> Iterator[np.ndarray]:
     """All p^k codewords as blocks of at most `block` rows (at least one),
-    messages in lexicographic order.
-
-    The codewords of the low message digits are tabulated once; each block
-    is that table added, mod p, to the words of a few high-digit prefixes.
+    messages in lexicographic order. A block is the transpose of an (n, rows)
+    array, so each column is contiguous, in the smallest unsigned dtype that
+    holds 2(p - 1). The low message digits' codewords are tabulated once;
+    each block adds that table to the words of a few high-digit prefixes and
+    reduces each sum s mod p as min(s, s - p), by unsigned wraparound.
     """
-    _check_enum_budget(cs)
-    p, k, g = cs.p, cs.k, cs.gen.a
+    _check_budget("codeword enumeration p^k", cs.p, cs.k, ENUM_BUDGET)
+    p, k, n, g = cs.p, cs.k, cs.n, cs.gen.a
+    dtype = np.min_scalar_type(2 * (p - 1))
     low = 0
     while low < k and p ** (low + 1) <= block:
         low += 1
-    table = np.zeros((1, cs.n), dtype=np.int64)
+
+    def add_mod(heads, table):
+        s = heads[:, :, None] + table[:, None, :]
+        return np.minimum(s, s - dtype.type(p), out=s).reshape(n, -1)
+
+    table = np.zeros((n, 1), dtype=dtype)
     for row in g[k - low :]:
-        table = ((table[:, None] + np.outer(np.arange(p), row)) % p).reshape(-1, cs.n)
-    high = g[: k - low]
+        table = add_mod(table, (np.outer(row, np.arange(p)) % p).astype(dtype))
     place = p ** np.arange(k - low - 1, -1, -1, dtype=np.int64)
     prefixes = p ** (k - low)
-    per = max(1, block // len(table))
+    per = max(1, block // table.shape[1])
     for start in range(0, prefixes, per):
         idx = np.arange(start, min(start + per, prefixes), dtype=np.int64)
-        heads = (idx[:, None] // place % p) @ high % p
-        yield ((heads[:, None, :] + table) % p).reshape(-1, cs.n)
+        heads = ((idx[:, None] // place % p) @ g[: k - low] % p).T.astype(dtype, order="C")
+        yield add_mod(heads, table).T
 
 
 def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
     """Stream of the p^k codewords as tuples, deterministic order."""
     for blockarr in codeword_blocks(cs):
-        for row in blockarr:
-            yield tuple(int(x) for x in row)
+        yield from map(tuple, blockarr.tolist())
 
 
 def codeword_census(cs: LinearCodeState) -> tuple[int, int]:
     """Number of codewords enumerated and the minimum Hamming weight of the
     nonzero ones (n + 1 if there are none), in one pass over
-    `codeword_blocks`."""
-    _check_enum_budget(cs)
+    `codeword_blocks`, with weights counted column by column."""
     count, best = 0, cs.n + 1
     for blockarr in codeword_blocks(cs):
         count += len(blockarr)
-        weights = np.count_nonzero(blockarr, axis=1)
-        weights = weights[weights > 0]
-        if weights.size:
-            best = min(best, int(weights.min()))
+        weights = np.zeros(len(blockarr), dtype=np.min_scalar_type(best))
+        for col in blockarr.T:
+            weights += col != 0
+        best = int(weights[weights > 0].min(initial=best))
     return count, best
 
 
@@ -219,13 +221,10 @@ def is_ame_code(cs: LinearCodeState) -> AmeCodeResult:
 def dense_statevector(cs: LinearCodeState) -> StateVector:
     """Dense vector with amplitude 1/sqrt(p^k) on every codeword (big-endian
     digit indexing), 0 elsewhere."""
-    if cs.p**cs.n > DENSE_BUDGET:
-        raise TooLarge(
-            f"dense vector p^n = {cs.p}^{cs.n} exceeds budget {DENSE_BUDGET}"
-        )
+    _check_budget("dense vector p^n", cs.p, cs.n, DENSE_BUDGET)
     amps = np.zeros(cs.p**cs.n, dtype=np.float64)
     place = cs.p ** np.arange(cs.n - 1, -1, -1, dtype=np.int64)
     scale = 1.0 / np.sqrt(float(cs.p**cs.k))
     for blockarr in codeword_blocks(cs):
-        amps[blockarr @ place] = scale
+        amps[blockarr.astype(np.int64) @ place] = scale
     return StateVector(cs.n, cs.p, amps)

@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyame import codes
 from polyame.codes import (
@@ -261,6 +263,17 @@ def _codewords_by_definition(cs):
     return (msgs.reshape(cs.p**cs.k, cs.k) @ cs.gen.a) % cs.p
 
 
+# Codes whose words sit at the edges of the block dtypes: sums of two
+# digits reach 252 (uint8), 260 and 512 (uint16), and 131072 (uint32).
+WIDE_CODES = [
+    (2, [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]]),
+    (127, [[1, 2, 126, 0], [0, 1, 5, 126]]),
+    (131, [[1, 130, 7], [0, 1, 129]]),
+    (257, [[1, 256, 128]]),
+    (65537, [[1, 65536, 3]]),
+]
+
+
 @pytest.mark.parametrize("block", [1, 17, None])
 def test_codeword_blocks_match_definition(block):
     states = [
@@ -269,11 +282,48 @@ def test_codeword_blocks_match_definition(block):
         from_parity_checks(GfMatrix([[1, 1, 1, 1]], 2)),
         from_parity_checks(GfMatrix([[1, 0], [1, 1]], 2)),  # k = 0
         from_parity_checks(GfMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]], 7)),  # k = 0
-    ]
+    ] + [LinearCodeState(p, len(g[0]), GfMatrix(g, p)) for p, g in WIDE_CODES]
     for cs in states:
         blocks = list(codeword_blocks(cs) if block is None else codeword_blocks(cs, block))
         if block is not None:
             assert all(1 <= len(b) <= block for b in blocks)
+        for b in blocks:
+            assert b.dtype.kind == "u" and b.flags.f_contiguous
+            assert int(b.max()) < cs.p
         words = np.vstack(blocks)
         assert words.shape == (cs.p**cs.k, cs.n)
         assert np.array_equal(words, _codewords_by_definition(cs))
+
+
+@st.composite
+def full_rank_codes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    assume(p**k <= 4096)
+    g = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    gen = GfMatrix(g, p)
+    assume(rank(gen) == k)
+    return LinearCodeState(p, n, gen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_codes())
+def test_codeword_census_matches_definition(cs):
+    words = _codewords_by_definition(cs)
+    weights = np.count_nonzero(words, axis=1)
+    nonzero = weights[weights > 0]
+    expected = (len(words), int(nonzero.min()) if nonzero.size else cs.n + 1)
+    assert codeword_census(cs) == expected
+
+
+def test_dense_statevector_indexes_in_int64():
+    """p^n = 131^3 amplitudes: a basis index formed in the uint16 dtype of
+    the blocks would wrap and land on the wrong amplitudes."""
+    p, g = WIDE_CODES[2]
+    cs = LinearCodeState(p, 3, GfMatrix(g, p))
+    place = p ** np.arange(cs.n - 1, -1, -1, dtype=np.int64)
+    expected = np.zeros(p**cs.n)
+    expected[_codewords_by_definition(cs) @ place] = 1.0 / p
+    assert np.array_equal(dense_statevector(cs).amps, expected)

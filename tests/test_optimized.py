@@ -13,9 +13,11 @@ SCRIPT = textwrap.dedent(
     import sys
     import tempfile
 
+    from polyame.codes import codeword_census, rs_code_state
     from polyame.contraction import AgreementContraction, _assign_all, contract
     from polyame.entropy import Bipartition
-    from polyame.errors import BadStateFile, InvalidContraction, InvalidCut, NotPrime
+    from polyame.errors import (
+        BadStateFile, InvalidContraction, InvalidCut, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
     from polyame.polytope import platonic
     from polyame.stateio import read_state
@@ -42,6 +44,7 @@ SCRIPT = textwrap.dedent(
         "improper_cut": (InvalidCut, lambda: Bipartition(4, (1, 2, 3, 4))),
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
+        "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
     }
     for name, (exc, make) in cases.items():
         try:
