@@ -5,6 +5,8 @@ A k-dimensional code C over GF(p) of length n represents the normalized state
 are exact integers in dits: S_A = rank(G_A) + rank(G_B) - k, with G_A, G_B the
 generator restricted to the two sides of the cut. This is the single entropy
 path used for code states; it stays exact where dense vectors are infeasible.
+For p = 2 both ranks are `gf.rank2` of the generator's bit-packed rows, each
+ANDed with the side's site mask.
 
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
@@ -50,11 +52,15 @@ class LinearCodeState:
         return self.gen.rows
 
     @cached_property
+    def bit_rows(self) -> list[int]:
+        """Generator rows as n-bit ints, site 0 the highest bit (the basis
+        index convention); p = 2 only."""
+        return pack_rows(self.gen.a)
+
+    @cached_property
     def columns(self) -> tuple:
-        """Generator columns as rank-kernel vectors: bit-packed ints for
-        p = 2, int tuples otherwise."""
-        gt = self.gen.a.T
-        return tuple(pack_rows(gt) if self.p == 2 else map(tuple, gt.tolist()))
+        """Generator columns as int tuples, the rows `eliminate` takes."""
+        return tuple(map(tuple, self.gen.a.T.tolist()))
 
 
 def from_parity_checks(h: GfMatrix) -> LinearCodeState:
@@ -107,9 +113,13 @@ def codeword_blocks(cs: LinearCodeState, block: int = 1 << 16) -> Iterator[np.nd
     while low < k and p ** (low + 1) <= block:
         low += 1
 
-    def add_mod(heads, table):
+    def add_mod(heads, table, tmp=None):
+        # A fresh sum per call, as callers may keep the blocks; `tmp` holds
+        # s - p, so the one scratch buffer is reused across blocks.
         s = heads[:, :, None] + table[:, None, :]
-        return np.minimum(s, s - dtype.type(p), out=s).reshape(n, -1)
+        if tmp is not None:
+            tmp = tmp[:, : s.shape[1]]
+        return np.minimum(s, np.subtract(s, dtype.type(p), out=tmp), out=s).reshape(n, -1)
 
     table = np.zeros((n, 1), dtype=dtype)
     for row in g[k - low :]:
@@ -117,10 +127,11 @@ def codeword_blocks(cs: LinearCodeState, block: int = 1 << 16) -> Iterator[np.nd
     place = p ** np.arange(k - low - 1, -1, -1, dtype=np.int64)
     prefixes = p ** (k - low)
     per = max(1, block // table.shape[1])
+    tmp = np.empty((n, min(per, prefixes), table.shape[1]), dtype=dtype)
     for start in range(0, prefixes, per):
         idx = np.arange(start, min(start + per, prefixes), dtype=np.int64)
         heads = ((idx[:, None] // place % p) @ g[: k - low] % p).T.astype(dtype, order="C")
-        yield add_mod(heads, table).T
+        yield add_mod(heads, table, tmp).T
 
 
 def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
@@ -149,24 +160,28 @@ def min_hamming_distance(cs: LinearCodeState) -> int:
     return codeword_census(cs)[1]
 
 
-def _column_rank(cs: LinearCodeState, cols: list) -> int:
-    """Rank of the span of some of cs.columns."""
-    if cs.p == 2:
-        return rank2(cols, min(len(cols), cs.k))
-    return len(eliminate(cols, cs.p, cs.k))
+def cut_mask(n: int, a) -> int:
+    """The 0-based cut sites `a` as an n-bit mask, site 0 the highest bit."""
+    mask = 0
+    for j in a:
+        if not 0 <= j < n:
+            raise InvalidCut(f"cut site {j} out of range 0..{n - 1}")
+        mask |= 1 << (n - 1 - j)
+    return mask
 
 
 def code_entropy(cs: LinearCodeState, a) -> int:
     """Entanglement entropy of the code state across the cut (a | complement),
     in dits: rank(G_A) + rank(G_B) - k. Multiply by log2(p) for bits."""
+    in_a = cut_mask(cs.n, a)
+    if cs.p == 2:
+        k, rows = cs.k, cs.bit_rows
+        sides = (in_a, in_a ^ ((1 << cs.n) - 1))
+        return sum(rank2([r & s for r in rows], min(k, s.bit_count())) for s in sides) - k
     a = set(a)
-    outside = sorted(j for j in a if not 0 <= j < cs.n)
-    if outside:
-        raise InvalidCut(f"cut sites {outside} out of range 0..{cs.n - 1}")
-    cols = cs.columns
-    side_a = [c for j, c in enumerate(cols) if j in a]
-    side_b = [c for j, c in enumerate(cols) if j not in a]
-    return _column_rank(cs, side_a) + _column_rank(cs, side_b) - cs.k
+    side_a = [c for j, c in enumerate(cs.columns) if j in a]
+    side_b = [c for j, c in enumerate(cs.columns) if j not in a]
+    return len(eliminate(side_a, cs.p, cs.k)) + len(eliminate(side_b, cs.p, cs.k)) - cs.k
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,7 @@ def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
     """The one place that picks how a state's cut entropies are computed.
     A LinearCodeState uses the rank formula of its generator (CODE_RANK).
     A dense state is recognised once as a stabilizer state and uses the
-    rank formula of its quadratic form (STABILIZER), else dense spectra
+    rank formula of its check matrix (STABILIZER), else dense spectra
     (DENSE). Returns the function from a list of bipartitions to their
     entropies (bits), and the backend's name."""
     if isinstance(state, LinearCodeState):

@@ -109,8 +109,11 @@ def rank2(vectors, limit: int) -> int:
 
 
 def pack_rows(a: np.ndarray) -> list[int]:
-    """Rows of a 0/1 array as Python ints (row bits, first column highest)."""
-    return [int.from_bytes(r.tobytes(), "big") for r in np.packbits(a.astype(np.uint8), axis=1)]
+    """Rows of a 0/1 (rows, cols) array as cols-bit Python ints, the first
+    column the highest bit."""
+    pad = -a.shape[1] % 8
+    packed = np.packbits(a.astype(np.uint8), axis=1)
+    return [int.from_bytes(r.tobytes(), "big") >> pad for r in packed]
 
 
 def rref(m: GfMatrix) -> tuple[GfMatrix, list[int]]:

@@ -8,13 +8,18 @@ sign of a quadratic form:
 
 with G a k x n generator (a LinearCodeState), x0 a shift and
 Q(u) = q0 + sum_i q_ii u_i + sum_{i<j} q_ij u_i u_j. Its entanglement
-entropies are integers (bits):
+entropies are integers (bits), read off its n x 2n check matrix
+(Fattal et al., quant-ph/0406168; Aaronson & Gottesman, PRA 70, 052328):
 
-    S(A) = rank G_A + rank G_B - k + rank(beta on K_A x K_B),
+    M = [G | Z]    S(A) = rank M_A - |A|,
+        [0 | H]
 
-where beta(u, v) = Q(u+v) + Q(u) + Q(v) + q0 is Q's alternating bilinear
-form, K_A = ker G_B and K_B = ker G_A. The first three terms are the code
-state's `code_entropy`; beta = 0 gives that formula back unchanged.
+with M_A the X and Z columns of the sites in A. X(g_i) Z(z_i) and Z(h)
+stabilise the state when z_i . g_j = beta_ij, beta(u, v) = Q(u+v) + Q(u) +
+Q(v) + q0 being Q's alternating bilinear form, and h runs over a basis of
+the dual code H = nullspace(G). The rank is `gf.rank2` of M's rows as 2n-bit
+ints (X bits above Z bits), each ANDed with A's mask; beta = 0 gives the
+code state's `code_entropy` back.
 
 `from_statevector` recognises such a state in a dense qubit vector.
 """
@@ -27,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import LinearCodeState, code_entropy
+from .codes import LinearCodeState, cut_mask
 from .errors import InvalidCode
-from .gf import GfMatrix, rank2
+from .gf import GfMatrix, nullspace, pack_rows, rank2, rref
 from .states import StateVector
 
 # Largest Euclidean distance from the ideal vector at which a dense vector
@@ -65,17 +70,18 @@ class StabilizerState:
             raise InvalidCode(f"constant term q0 = {self.q0} is not 0 or 1")
 
     @cached_property
-    def rows(self) -> list[int]:
-        """Rows of G as n-bit basis-index masks."""
-        return [int("".join(map(str, row)), 2) for row in self.code.gen.a.tolist()]
-
-    @cached_property
-    def beta(self) -> list[int]:
-        """Rows of beta's matrix q + q^T (zero diagonal) as k-bit ints, bit i
-        for u_i."""
+    def check_rows(self) -> list[int]:
+        """Rows of the check matrix [G | Z ; 0 | H] as 2n-bit ints, X bits
+        above Z bits. With E G the reduced form of G and p_l its pivots,
+        G P E = I for P the pivot selector, so Z = beta E^T P^T."""
+        k, n = self.code.k, self.code.n
+        g = self.code.gen.a
         q = np.asarray(self.q, dtype=np.int64)
-        sym = np.triu(q, 1) + np.triu(q, 1).T
-        return [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in sym]
+        beta = np.triu(q, 1) + np.triu(q, 1).T
+        red, pivots = rref(GfMatrix(np.hstack([g, np.eye(k, dtype=np.int64)]), 2))
+        z = np.zeros((k, n), dtype=np.int64)
+        z[:, pivots] = beta @ red.a[:, n:].T % 2
+        return pack_rows(np.hstack([g, z])) + pack_rows(nullspace(self.code.gen).a)
 
     def amplitudes(self) -> np.ndarray:
         """The dense 2^n vector. Points and signs are built by doubling: the
@@ -86,7 +92,7 @@ class StabilizerState:
         pts = np.empty(1 << k, dtype=np.int64)
         neg = np.empty(1 << k, dtype=bool)
         pts[0], neg[0] = self.shift, bool(self.q0)
-        for j, g in enumerate(self.rows):
+        for j, g in enumerate(self.code.bit_rows):
             half = 1 << j
             cross = sum(1 << i for i in range(j) if q[i, j])
             pts[half : 2 * half] = pts[:half] ^ g
@@ -108,12 +114,15 @@ def _parity(x: np.ndarray) -> np.ndarray:
 def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     """The stabilizer form of a dense qubit vector, or None if it has none.
 
-    The support is {|a| > max|a| / 2}; it must have 2^k points. Its basis is
-    found by repeatedly taking the largest point w of W = support ^ x0 and
-    setting W = min(W, W ^ w), which clears w's leading bit everywhere. Q is
-    read from the signs at x0, x0 + g_i and x0 + g_i + g_j. The result is
-    accepted only if sv is within RECOGNITION_TOL (Euclidean) of the ideal
-    vector it describes, which checks the support and Q on every point.
+    The support is {|a| > max|a| / 2}; it must have 2^k points. If it is
+    x0 + span(r_0..r_{k-1}), x0 its minimum and the r_j reduced (each r_j's
+    leading bit set in no other r_i, leading bits rising with j), the point
+    at sorted position i is x0 + sum of the r_j over the bits j of i. So the
+    basis is read at positions 2^j, and a support whose r_j do not rise has
+    no such form. Q is read from the signs at x0, x0 + g_i and x0 + g_i + g_j.
+    The result is accepted only if sv is within RECOGNITION_TOL (Euclidean)
+    of the ideal vector it describes, which checks the support and Q on every
+    point.
     """
     if sv.d != 2:
         return None
@@ -124,17 +133,11 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     if w.size != 1 << k:
         return None
     x0 = int(w[0])
-    w ^= x0
-    basis = []
-    for _ in range(k):
-        top = int(w.max())
-        if top == 0:
-            return None
-        basis.append(top)
-        np.minimum(w, w ^ top, out=w)
-    if w.any():
-        return None
+    basis = [int(w[1 << j]) ^ x0 for j in range(k)]
     del w
+    tops = [r.bit_length() for r in basis]
+    if any(lo >= hi for lo, hi in zip(tops, tops[1:])):
+        return None
     b = np.array(basis, dtype=np.int64)
     g = b[:, None] >> np.arange(n - 1, -1, -1) & 1
     neg0 = int(amps[x0] < 0)
@@ -148,40 +151,12 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     return st if np.linalg.norm(ideal) <= RECOGNITION_TOL else None
 
 
-def _kernel(rows: list[int], mask: int) -> list[int]:
-    """Basis of {u : (sum_i u_i rows[i]) & mask = 0}, as k-bit ints."""
-    basis: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for i, row in enumerate(rows):
-        v, u = row & mask, 1 << i
-        while v:
-            top = v.bit_length()
-            if top not in basis:
-                basis[top] = (v, u)
-                break
-            bv, bu = basis[top]
-            v, u = v ^ bv, u ^ bu
-        else:
-            kernel.append(u)
-    return kernel
-
-
 def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
     """Entropy in bits across the cut (a_sites | complement), a_sites
-    0-based like `code_entropy`: code_entropy + rank of beta on
-    ker G_B x ker G_A."""
-    s = code_entropy(st.code, a_sites)
-    if not any(st.beta):
-        return s
+    0-based like `code_entropy`: rank of the check rows on A's X and Z bits,
+    minus |A|."""
     n = st.code.n
-    in_a = sum(1 << (n - 1 - j) for j in set(a_sites))
-    k_a = _kernel(st.rows, ((1 << n) - 1) ^ in_a)
-    k_b = _kernel(st.rows, in_a)
-    form = []
-    for x in k_a:
-        bx = 0
-        for i, row in enumerate(st.beta):
-            if x >> i & 1:
-                bx ^= row
-        form.append(sum(((bx & y).bit_count() & 1) << j for j, y in enumerate(k_b)))
-    return s + rank2(form, min(len(k_a), len(k_b)))
+    in_a = cut_mask(n, a_sites)
+    size = in_a.bit_count()
+    mask = in_a << n | in_a
+    return rank2([r & mask for r in st.check_rows], min(n, 2 * size)) - size

@@ -20,8 +20,9 @@ SCRIPT = textwrap.dedent(
         BadStateFile, InvalidContraction, InvalidCut, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
     from polyame.polytope import platonic
+    from polyame.stabilizer import from_statevector
     from polyame.stateio import read_state
-    from polyame.states import ame52_table1, ame62
+    from polyame.states import ame52_table1, ame62, normalized
 
     if __debug__:
         sys.exit("not running under -O")
@@ -54,6 +55,15 @@ SCRIPT = textwrap.dedent(
         except Exception as other:
             sys.exit(f"{name}: {type(other).__name__}: {other}")
         sys.exit(f"{name}: nothing raised")
+    # Supports whose basis candidates do not rise have no stabilizer form;
+    # the second one's candidates are dependent.
+    for amps in ([0, 1, 1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 1, 1, 1, 1, 1, 1] + [0] * 6):
+        try:
+            found = from_statevector(normalized(len(amps).bit_length() - 1, 2, amps))
+        except Exception as other:
+            sys.exit(f"candidates_do_not_rise: {type(other).__name__}: {other}")
+        if found is not None:
+            sys.exit("candidates_do_not_rise: recognised")
     print("ok")
     """
 )

@@ -1,6 +1,7 @@
 """Stabilizer-form entropy engine: the rank formula against dense spectra,
 recognition of dense vectors, and the routing of sweeps."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from polyame.entropy import (
     verify_ame,
 )
 from polyame.errors import InvalidCode
-from polyame.gf import GfMatrix, rref
+from polyame.gf import GfMatrix, rank2, rref
 from polyame.stabilizer import StabilizerState, from_statevector, stabilizer_entropy
 from polyame.states import StateVector, ame43, ame52_table1, normalized
 
@@ -44,11 +45,21 @@ def stabilizer_states(draw):
     )
 
 
+def _symplectic(x: int, y: int, n: int) -> int:
+    """Symplectic product of two 2n-bit check rows (X bits above Z bits)."""
+    low = (1 << n) - 1
+    return ((x >> n & y & low).bit_count() + (y >> n & x & low).bit_count()) % 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(stabilizer_states())
 def test_rank_formula_matches_dense_spectrum(state):
     n = state.code.n
     sv = StateVector(n, 2, state.amplitudes())
+    rows = state.check_rows
+    # n commuting, independent Pauli checks: a complete stabilizer group.
+    assert len(rows) == n and rank2(rows, n) == n
+    assert not any(_symplectic(x, y, n) for x, y in combinations(rows, 2))
     found = from_statevector(sv)
     assert found is not None and found.code.k == state.code.k
     flat = StabilizerState(state.code, state.shift, np.zeros_like(state.q))
@@ -77,6 +88,12 @@ REJECTED = {
     "perturbed": _perturbed,
     "non_affine_support": lambda: normalized(3, 2, [1, 1, 1, 0, 1, 0, 0, 0]),
     "odd_support_size": lambda: normalized(3, 2, [1, 1, 1, 0, 0, 0, 0, 0]),
+    # Support {1, 2, 3, 4}: the candidates 1 ^ 2 = 3 and 1 ^ 3 = 2 at sorted
+    # positions 1 and 2 share a leading bit.
+    "candidates_do_not_rise": lambda: normalized(3, 2, [0, 1, 1, 1, 1, 0, 0, 0]),
+    # Support {0, 2, 4, 5, 6, 7, 8, 9}: the candidates 2, 4, 6 at positions 1, 2, 4
+    # are dependent.
+    "dependent_candidates": lambda: normalized(4, 2, [1, 0, 1, 0, 1, 1, 1, 1, 1, 1] + [0] * 6),
     "cubic_phase": _ccz_on_plus,
     "qutrits": ame43,
     # within check_normalized's 1e-9, outside recognition's 1e-12
@@ -112,6 +129,23 @@ def test_dodecahedron_states_are_recognised(build, k):
         for bp in sample_partitions(sv.n, m, 2, seed=m):
             s = stabilizer_entropy(state, [x - 1 for x in bp.a_sites])
             assert abs(entropy(sv, bp) - s) < 1e-9
+
+
+def test_d1_exhaustive_m6_census():
+    entropies, backend = entropy_engine(build_d1())
+    values = entropies(list(exhaustive_partitions(20, 6)))
+    assert backend == "stabilizer"
+    assert Counter(values) == {5.0: 9, 6.0: 38751}
+
+
+@pytest.mark.parametrize("sites", [(1, 6, 7, 11, 14, 16, 17, 20), (2, 5, 9, 10, 11, 12, 18, 19)])
+def test_d1_m8_blocks_of_entropy_6(sites):
+    """Two 8-blocks of d1 with entropy 6, below the recorded {7, 8}."""
+    sv = build_d1()
+    bp = Bipartition(20, sites)
+    assert stabilizer_entropy(from_statevector(sv), [s - 1 for s in sites]) == 6
+    assert entropy_engine(sv)[0]([bp]) == [6.0]
+    assert entropy(sv, bp) == pytest.approx(6.0, abs=1e-9)
 
 
 def test_hovering_balanced_cuts_match_dense():
