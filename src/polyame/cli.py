@@ -142,10 +142,8 @@ def _load_orientations(
 @click.option("--hover-pos", type=int, default=6, show_default=True,
               help="1-based site of the face tensor kept as the physical qubit.")
 @click.option("--out", type=click.Path(), default=None, help="State file to write.")
-@click.option("--encoding", type=click.Choice(["auto", "int8", "float64"]), default="auto",
-              show_default=True)
 @_exits
-def build(state, orientations_file, random_orientations, hover_pos, out, encoding):
+def build(state, orientations_file, random_orientations, hover_pos, out):
     """Contract face tensors over the dodecahedron into a state file."""
     orientations = _load_orientations(orientations_file, random_orientations, 12)
     if state == "d1":
@@ -165,7 +163,7 @@ def build(state, orientations_file, random_orientations, hover_pos, out, encodin
     if state == "hovering":
         meta["hover_position"] = hover_pos
     if out:
-        meta["encoding"] = write_state(out, sv, encoding)
+        meta["encoding"] = write_state(out, sv)
         meta["out"] = out
         click.echo(json.dumps(meta))
     else:

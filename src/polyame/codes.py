@@ -3,10 +3,11 @@
 A k-dimensional code C over GF(p) of length n represents the normalized state
 (1/sqrt(p^k)) sum_{x in GF(p)^k} |x G>. Entanglement entropies of such states
 are exact integers in dits: S_A = rank(G_A) + rank(G_B) - k, with G_A, G_B the
-generator restricted to the two sides of the cut. This is the single entropy
-path used for code states; it stays exact where dense vectors are infeasible.
-For p = 2 both ranks are `gf.rank2` of the generator's bit-packed rows, each
-ANDed with the side's site mask.
+generator restricted to the two sides of the cut. It stays exact where dense
+vectors are infeasible. For p = 2 the state is the stabilizer state with
+check matrix [G | 0 ; 0 | H], H = nullspace(G), and `code_entropy` takes the
+one qubit formula S(A) = rank M_A - |A| of `check_entropy` instead: it agrees
+on every cut, as rank(H_A) = |A| - k + rank(G_B).
 
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
@@ -52,10 +53,11 @@ class LinearCodeState:
         return self.gen.rows
 
     @cached_property
-    def bit_rows(self) -> list[int]:
-        """Generator rows as n-bit ints, site 0 the highest bit (the basis
-        index convention); p = 2 only."""
-        return pack_rows(self.gen.a)
+    def check_rows(self) -> list[int]:
+        """Rows of the check matrix [G | 0 ; 0 | H], H = nullspace(G), as
+        2n-bit ints, X bits above Z bits, site 0 the highest bit of each half
+        (the basis index convention); p = 2 only."""
+        return [r << self.n for r in pack_rows(self.gen.a)] + pack_rows(nullspace(self.gen).a)
 
     @cached_property
     def columns(self) -> tuple:
@@ -170,14 +172,22 @@ def cut_mask(n: int, a) -> int:
     return mask
 
 
+def check_entropy(rows: list[int], n: int, in_a: int) -> int:
+    """Entropy in bits of the n-qubit stabilizer state with check rows `rows`
+    (2n-bit ints, X bits above Z bits) across the cut with site mask `in_a`:
+    the rank of the rows on A's X and Z bits, minus |A|."""
+    size = in_a.bit_count()
+    mask = in_a << n | in_a
+    return rank2([r & mask for r in rows], min(n, 2 * size)) - size
+
+
 def code_entropy(cs: LinearCodeState, a) -> int:
     """Entanglement entropy of the code state across the cut (a | complement),
-    in dits: rank(G_A) + rank(G_B) - k. Multiply by log2(p) for bits."""
+    in dits: rank(G_A) + rank(G_B) - k, and `check_entropy` of the check rows
+    for p = 2. Multiply by log2(p) for bits."""
     in_a = cut_mask(cs.n, a)
     if cs.p == 2:
-        k, rows = cs.k, cs.bit_rows
-        sides = (in_a, in_a ^ ((1 << cs.n) - 1))
-        return sum(rank2([r & s for r in rows], min(k, s.bit_count())) for s in sides) - k
+        return check_entropy(cs.check_rows, cs.n, in_a)
     a = set(a)
     side_a = [c for j, c in enumerate(cs.columns) if j in a]
     side_b = [c for j, c in enumerate(cs.columns) if j not in a]

@@ -184,12 +184,8 @@ def structured_partitions(pt: Polytope, m: Optional[int] = None) -> list[Biparti
     for f in pt.faces:
         blocks.append(tuple(sorted(v + 1 for v in f)))
     if pt.name != "tetrahedron":
-        seen_pairs = set()
         for a in range(pt.face_count):
             b = opposite_face_pair(pt, a)
-            if (min(a, b), max(a, b)) in seen_pairs:
-                continue
-            seen_pairs.add((min(a, b), max(a, b)))
             blocks.append(tuple(sorted(v + 1 for v in pt.faces[a] + pt.faces[b])))
     for a, b in pt.edge_faces.values():
         blocks.append(tuple(sorted({v + 1 for v in pt.faces[a] + pt.faces[b]})))
@@ -275,11 +271,11 @@ def batch_entropies(sv: StateVector, bps: list) -> list[float]:
 
 def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
     """The one place that picks how a state's cut entropies are computed.
-    A LinearCodeState uses the rank formula of its generator (CODE_RANK).
-    A dense state is recognised once as a stabilizer state and uses the
-    rank formula of its check matrix (STABILIZER), else dense spectra
-    (DENSE). Returns the function from a list of bipartitions to their
-    entropies (bits), and the backend's name."""
+    A LinearCodeState uses `code_entropy` (CODE_RANK), for p = 2 the
+    STABILIZER formula with Z = 0. A dense state is recognised once as a
+    stabilizer state and uses the rank formula of its check matrix
+    (STABILIZER), else dense spectra (DENSE). Returns the function from a
+    list of bipartitions to their entropies (bits), and the backend's name."""
     if isinstance(state, LinearCodeState):
         backend, cut_entropy = CODE_RANK, partial(code_entropy, state)
     else:

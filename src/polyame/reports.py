@@ -128,13 +128,13 @@ def reproduce_ame62_eq8() -> PaperTableResult:
     )
 
 
-def _row(entropies, backend, n, m, mode, target, diffs, structured_pt=None):
+def _row(entropies, backend, n, m, mode, target, structured_pt=None):
     """One table row: exhaustive or seeded-sample entropies from
     `entropies` (a list of bipartitions to their entropies), extending the
     sample until every reference value is witnessed or the witness budget
-    is spent. Appends to `diffs` each value outside `target` and each
-    non-integer entropy, with its witness, then each unwitnessed value of
-    `target`."""
+    is spent. Returns the row and its diffs: each value outside `target`
+    and each non-integer entropy, with its witness, then each unwitnessed
+    value of `target`."""
     if mode == "exhaustive":
         row = SweepRow(m, mode, backend=backend).fold(entropies, exhaustive_partitions(n, m))
     else:
@@ -146,6 +146,7 @@ def _row(entropies, backend, n, m, mode, target, diffs, structured_pt=None):
         while set(target) - set(row.witnesses) and row.examined < WITNESS_BUDGET:
             row.fold(entropies, sample_partitions(n, m, 1000, seed=10_000 * round_no + m))
             round_no += 1
+    diffs = []
     ints = {}
     for v, sites in row.witnesses.items():
         if not v.is_integer():
@@ -164,7 +165,7 @@ def _row(entropies, backend, n, m, mode, target, diffs, structured_pt=None):
         "values": sorted(ints),
         "witnesses": {str(v): list(ints[v]) for v in sorted(ints)},
         "backend": backend,
-    }
+    }, diffs
 
 
 def reproduce_table2() -> PaperTableResult:
@@ -178,49 +179,26 @@ def reproduce_table2() -> PaperTableResult:
     so its row uses the exact rank formula, exhaustively for every m.
     """
     diffs: list = []
+    details: dict = {}
     pt = platonic("dodecahedron")
-    d1 = build_d1()
-    d1_entropies, d1_backend = entropy_engine(d1)
-    d1_rows = []
-    for m in range(1, 11):
-        mode = "exhaustive" if m <= 6 else "sampled"
-        d1_rows.append(
-            _row(
-                d1_entropies,
-                d1_backend,
-                d1.n,
-                m,
-                mode,
-                ref.REFERENCE_D1_ENTROPY_SETS[m],
-                diffs,
-                structured_pt=None if m <= 6 else pt,
-            )
-        )
-    code = from_parity_checks(face_parity_matrix(pt))
-    code_entropies, code_backend = entropy_engine(code)
-    d2_rows = []
-    for m in range(1, 11):
-        d2_rows.append(
-            _row(
-                code_entropies,
-                code_backend,
-                code.n,
-                m,
-                "exhaustive",
-                ref.REFERENCE_D2_ENTROPY_SETS[m],
-                diffs,
-            )
-        )
-    return _result(
-        "table2",
-        diffs,
-        {
-            "d1": {"state_id": "d1", "rows": d1_rows},
-            "d2": {"state_id": "d2", "rows": d2_rows},
-            "integer_tolerance": INTEGER_TOL,
-            "samples_per_m": SAMPLES_PER_M,
-        },
+    states = (
+        ("d1", build_d1(), ref.REFERENCE_D1_ENTROPY_SETS),
+        ("d2", from_parity_checks(face_parity_matrix(pt)), ref.REFERENCE_D2_ENTROPY_SETS),
     )
+    for state_id, state, targets in states:
+        entropies, backend = entropy_engine(state)
+        rows = []
+        for m in range(1, 11):
+            sampled = state_id == "d1" and m >= 7
+            mode = "sampled" if sampled else "exhaustive"
+            row, row_diffs = _row(
+                entropies, backend, state.n, m, mode, targets[m], pt if sampled else None
+            )
+            rows.append(row)
+            diffs.extend(row_diffs)
+        details[state_id] = {"state_id": state_id, "rows": rows}
+    details.update(integer_tolerance=INTEGER_TOL, samples_per_m=SAMPLES_PER_M)
+    return _result("table2", diffs, details)
 
 
 def reproduce_table3() -> PaperTableResult:

@@ -17,9 +17,10 @@ entropies are integers (bits), read off its n x 2n check matrix
 with M_A the X and Z columns of the sites in A. X(g_i) Z(z_i) and Z(h)
 stabilise the state when z_i . g_j = beta_ij, beta(u, v) = Q(u+v) + Q(u) +
 Q(v) + q0 being Q's alternating bilinear form, and h runs over a basis of
-the dual code H = nullspace(G). The rank is `gf.rank2` of M's rows as 2n-bit
-ints (X bits above Z bits), each ANDed with A's mask; beta = 0 gives the
-code state's `code_entropy` back.
+the dual code H = nullspace(G). The rank is `codes.check_entropy` of M's rows
+as 2n-bit ints (X bits above Z bits), each ANDed with A's mask. The G and H
+rows with Z = 0 are the code state's own check rows, which `code_entropy`
+ranks the same way for p = 2; beta = 0 gives that code state back.
 
 `from_statevector` recognises such a state in a dense qubit vector.
 """
@@ -32,9 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import LinearCodeState, cut_mask
+from .codes import LinearCodeState, check_entropy, cut_mask
 from .errors import InvalidCode
-from .gf import GfMatrix, nullspace, pack_rows, rank2, rref
+from .gf import GfMatrix, pack_rows, rref
 from .states import StateVector
 
 # Largest Euclidean distance from the ideal vector at which a dense vector
@@ -71,17 +72,18 @@ class StabilizerState:
 
     @cached_property
     def check_rows(self) -> list[int]:
-        """Rows of the check matrix [G | Z ; 0 | H] as 2n-bit ints, X bits
-        above Z bits. With E G the reduced form of G and p_l its pivots,
-        G P E = I for P the pivot selector, so Z = beta E^T P^T."""
+        """Rows of the check matrix [G | Z ; 0 | H] as 2n-bit ints: the code's
+        check rows with Z added to the G rows. With E G the reduced form of G
+        and p_l its pivots, G P E = I for P the pivot selector, so
+        Z = beta E^T P^T."""
         k, n = self.code.k, self.code.n
-        g = self.code.gen.a
         q = np.asarray(self.q, dtype=np.int64)
         beta = np.triu(q, 1) + np.triu(q, 1).T
-        red, pivots = rref(GfMatrix(np.hstack([g, np.eye(k, dtype=np.int64)]), 2))
+        red, pivots = rref(GfMatrix(np.hstack([self.code.gen.a, np.eye(k, dtype=np.int64)]), 2))
         z = np.zeros((k, n), dtype=np.int64)
         z[:, pivots] = beta @ red.a[:, n:].T % 2
-        return pack_rows(np.hstack([g, z])) + pack_rows(nullspace(self.code.gen).a)
+        rows = self.code.check_rows
+        return [x | zx for x, zx in zip(rows, pack_rows(z))] + rows[k:]
 
     def amplitudes(self) -> np.ndarray:
         """The dense 2^n vector. Points and signs are built by doubling: the
@@ -92,10 +94,10 @@ class StabilizerState:
         pts = np.empty(1 << k, dtype=np.int64)
         neg = np.empty(1 << k, dtype=bool)
         pts[0], neg[0] = self.shift, bool(self.q0)
-        for j, g in enumerate(self.code.bit_rows):
+        for j, row in enumerate(self.code.check_rows[:k]):
             half = 1 << j
             cross = sum(1 << i for i in range(j) if q[i, j])
-            pts[half : 2 * half] = pts[:half] ^ g
+            pts[half : 2 * half] = pts[:half] ^ (row >> n)
             flip = _parity(np.arange(half, dtype=np.int64) & cross).astype(bool)
             neg[half : 2 * half] = neg[:half] ^ flip ^ bool(q[j, j])
         amps = np.zeros(1 << n, dtype=np.float64)
@@ -153,10 +155,6 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
 
 def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
     """Entropy in bits across the cut (a_sites | complement), a_sites
-    0-based like `code_entropy`: rank of the check rows on A's X and Z bits,
-    minus |A|."""
+    0-based like `code_entropy`: `check_entropy` of the check rows."""
     n = st.code.n
-    in_a = cut_mask(n, a_sites)
-    size = in_a.bit_count()
-    mask = in_a << n | in_a
-    return rank2([r & mask for r in st.check_rows], min(n, 2 * size)) - size
+    return check_entropy(st.check_rows, n, cut_mask(n, a_sites))

@@ -53,11 +53,10 @@ def _as_int8_multiple(amps: np.ndarray):
     return ints if np.array_equal(_decode_int8(ints), amps) else None
 
 
-def write_state(path, sv: StateVector, encoding: str = "auto") -> str:
-    """Write a state; returns the encoding used ('int8' or 'float64')."""
-    ints = _as_int8_multiple(sv.amps) if encoding in ("auto", "int8") else None
-    if encoding == "int8" and ints is None:
-        raise ValueError("amplitudes are not an exactly decodable multiple of small integers")
+def write_state(path, sv: StateVector) -> str:
+    """Write a state, as int8 where that decodes bit for bit, else as
+    float64; returns the encoding used ('int8' or 'float64')."""
+    ints = _as_int8_multiple(sv.amps)
     with open(path, "wb") as fh:
         enc = ENC_INT8 if ints is not None else ENC_FLOAT64
         fh.write(MAGIC)

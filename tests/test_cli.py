@@ -101,7 +101,7 @@ def test_analyze_dense_state_reports_raw_values(runner, tmp_path):
     integers, so they appear raw in values, witnesses and non_integer."""
     sv = normalized(6, 2, np.random.default_rng(3).normal(size=64))
     state, out = tmp_path / "rnd.bin", tmp_path / "r.json"
-    write_state(state, sv, "float64")
+    write_state(state, sv)
     res = runner.invoke(main, ["analyze", "--state", str(state), "--m", "2", "--out", str(out)])
     assert res.exit_code == 0
     (row,) = json.loads(out.read_text())["rows"]

@@ -94,9 +94,8 @@ def test_row_folds_stub_entropies():
             vals[5] = 7.0
         return vals
 
-    diffs = []
     pt = platonic("dodecahedron")
-    row = _row(stub, "stub", n, m, "sampled", {3, 7, 9}, diffs, structured_pt=pt)
+    row, diffs = _row(stub, "stub", n, m, "sampled", {3, 7, 9}, structured_pt=pt)
     first = sample_partitions(n, m, SAMPLES_PER_M, seed=m) + structured_partitions(pt, m)
     assert calls[0] == [bp.a_sites for bp in first]
     # 9 is never seen, so rounds 1..8 (seed 10000 * round + m) run until the
@@ -119,8 +118,7 @@ def test_row_folds_stub_entropies():
 
 
 def test_row_exhaustive_never_extends():
-    diffs = []
-    row = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, "exhaustive", {2, 5}, diffs)
+    row, diffs = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, "exhaustive", {2, 5})
     assert row["examined"] == 15 and row["seed"] is None and row["values"] == [2]
     assert diffs == [{"m": 2, "unwitnessed_reference_value": 5}]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyame import stabilizer
-from polyame.codes import LinearCodeState, code_entropy
+from polyame.codes import LinearCodeState, code_entropy, dense_statevector
 from polyame.contraction import build_d1, build_d2, build_hovering
 from polyame.entropy import (
     Bipartition,
@@ -23,7 +23,7 @@ from polyame.entropy import (
     verify_ame,
 )
 from polyame.errors import InvalidCode
-from polyame.gf import GfMatrix, rank2, rref
+from polyame.gf import GfMatrix, rank, rank2, rref, submatrix_columns
 from polyame.stabilizer import StabilizerState, from_statevector, stabilizer_entropy
 from polyame.states import StateVector, ame43, ame52_table1, normalized
 
@@ -62,14 +62,26 @@ def test_rank_formula_matches_dense_spectrum(state):
     assert not any(_symplectic(x, y, n) for x, y in combinations(rows, 2))
     found = from_statevector(sv)
     assert found is not None and found.code.k == state.code.k
-    flat = StabilizerState(state.code, state.shift, np.zeros_like(state.q))
+    code = state.code
+    # The code state's checks [G | 0 ; 0 | H] form a complete group as well.
+    code_rows = code.check_rows
+    assert len(code_rows) == n and rank2(code_rows, n) == n
+    assert not any(_symplectic(x, y, n) for x, y in combinations(code_rows, 2))
+    code_sv = dense_statevector(code)
+    flat = StabilizerState(code, state.shift, np.zeros_like(state.q))
     for m in range(1, n):
         for sites in combinations(range(1, n + 1), m):
             a = [s - 1 for s in sites]
             s = stabilizer_entropy(state, a)
             assert abs(entropy(sv, Bipartition(n, sites)) - s) < 1e-9
             assert stabilizer_entropy(found, a) == s
-            assert stabilizer_entropy(flat, a) == code_entropy(state.code, a)
+            c = code_entropy(code, a)
+            assert stabilizer_entropy(flat, a) == c
+            assert abs(entropy(code_sv, Bipartition(n, sites)) - c) < 1e-9
+            # The two-rank formula on the generator, as an oracle.
+            b = [j for j in range(n) if j not in a]
+            g_a, g_b = submatrix_columns(code.gen, a), submatrix_columns(code.gen, b)
+            assert c == rank(g_a) + rank(g_b) - code.k
 
 
 def _ccz_on_plus():

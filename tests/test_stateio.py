@@ -37,19 +37,15 @@ def test_float64_round_trip(tmp_path):
 def test_auto_picks_int8_for_uniform_support(tmp_path):
     sv = ghz(4)
     path = tmp_path / "s.bin"
-    assert write_state(path, sv, "auto") == "int8"
+    assert write_state(path, sv) == "int8"
     assert np.array_equal(read_state(path).amps, sv.amps)
 
 
 def test_forced_encodings(tmp_path):
-    sv = ghz(3)
     path = tmp_path / "s.bin"
-    assert write_state(path, sv, "float64") == "float64"
-    assert np.array_equal(read_state(path).amps, sv.amps)
     bad = normalized(1, 2, [3.0, 4.0])  # 4/3 is not an integer ratio
-    with pytest.raises(ValueError):
-        write_state(path, bad, "int8")
-    assert write_state(path, bad, "auto") == "float64"
+    assert write_state(path, bad) == "float64"
+    assert np.array_equal(read_state(path).amps, bad.amps)
 
 
 def test_bad_magic(tmp_path):
