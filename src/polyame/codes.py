@@ -188,9 +188,9 @@ def code_entropy(cs: LinearCodeState, a) -> int:
     in_a = cut_mask(cs.n, a)
     if cs.p == 2:
         return check_entropy(cs.check_rows, cs.n, in_a)
-    a = set(a)
-    side_a = [c for j, c in enumerate(cs.columns) if j in a]
-    side_b = [c for j, c in enumerate(cs.columns) if j not in a]
+    bit = [in_a >> (cs.n - 1 - j) & 1 for j in range(cs.n)]
+    side_a = [c for c, b in zip(cs.columns, bit) if b]
+    side_b = [c for c, b in zip(cs.columns, bit) if not b]
     return len(eliminate(side_a, cs.p, cs.k)) + len(eliminate(side_b, cs.p, cs.k)) - cs.k
 
 

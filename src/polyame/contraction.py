@@ -5,6 +5,8 @@ legs of the faces meeting there: the product of face amplitudes is taken
 with all legs at a vertex forced to the same value. In vertex mode that
 shared value is the physical spin; in hovering mode the vertex spins are
 internal (summed over) and one extra site per face survives as the output.
+`contract` absorbs the faces one at a time, each by one einsum that also sums
+out the vertices that face closes, so it never holds a pre-sum product.
 """
 
 from __future__ import annotations
@@ -59,23 +61,6 @@ def _oriented_cycle(face: Sequence[int], orientation: int) -> tuple[int, ...]:
     return tuple(face[k:]) + tuple(face[:k])
 
 
-def _face_index_arrays(pt: Polytope, assignments, d: int) -> list[np.ndarray]:
-    """For each face, the flat index into its tensor as a function of the
-    global basis index (vectorized over all d^V global indices)."""
-    v_count = pt.vertex_count
-    total = d**v_count
-    idx = np.arange(total, dtype=np.int64)
-    digit = [(idx // d ** (v_count - 1 - v)) % d for v in range(v_count)]
-    out = []
-    for fa in assignments:
-        cyc = _oriented_cycle(pt.faces[fa.face_index], fa.orientation)
-        f_idx = np.zeros(total, dtype=np.int64)
-        for pos, v in enumerate(cyc):
-            f_idx = f_idx * d + digit[v]
-        out.append(f_idx)
-    return out
-
-
 def _hover_axis_order(tensor: StateVector, hover_position: int) -> np.ndarray:
     """Face tensor as an ndarray with axes (cycle pos 0..4, hover) given the
     1-based position of the hovering site within the tensor's sites."""
@@ -85,30 +70,19 @@ def _hover_axis_order(tensor: StateVector, hover_position: int) -> np.ndarray:
     return tensor.amps.reshape((d,) * n).transpose(cell_axes)
 
 
-def _broadcast_to_union(t: np.ndarray, t_axes: list, union: list) -> np.ndarray:
-    """View of t with dims ordered/padded to the union axis list (size-1 dims
-    where an axis of the union is absent from t)."""
-    pos = [union.index(ax) for ax in t_axes]
-    t_sorted = t.transpose(np.argsort(pos))
-    shape = [1] * len(union)
-    for p, size in zip(sorted(pos), t_sorted.shape):
-        shape[p] = size
-    return t_sorted.reshape(shape)
-
-
 def contract(
     ac: AgreementContraction,
     hover_position: int = 6,
     face_order: Optional[Sequence[int]] = None,
 ) -> StateVector:
     """Contract the network face by face, in `face_order` (default: by face
-    index). Each oriented face tensor is multiplied onto a running array
-    over the union of their open axes (the agreement tensor makes this a
-    diagonal product, not a contraction). Vertex mode outputs one site per
-    vertex. Hovering mode sums out each vertex once all its faces are
-    absorbed and outputs one site per face: the site at `hover_position`
-    (1-based) of each face tensor. Every intermediate is held to
-    DENSE_BUDGET amplitudes."""
+    index). Each oriented face tensor is absorbed by one einsum with the
+    running array: the agreement tensor makes it a diagonal product over the
+    union of their open axes, and in hovering mode the same call sums out
+    every vertex this face closes, so no pre-sum product is ever built.
+    Vertex mode outputs one site per vertex. Hovering mode outputs one site
+    per face: the site at `hover_position` (1-based) of each face tensor.
+    Every array the contraction holds is within DENSE_BUDGET amplitudes."""
     pt = ac.polytope
     d = ac.assignments[0].tensor.d
     hovering = ac.mode == "hovering"
@@ -119,37 +93,38 @@ def contract(
         raise InvalidContraction(
             f"hover_position {hover_position} is not a site of every face tensor"
         )
+    # Axis labels: vertex v is v, the hovering site of face a is V + a.
+    if pt.vertex_count + pt.face_count > 52:
+        raise InvalidContraction(
+            f"{pt.vertex_count} vertices and {pt.face_count} faces exceed einsum's 52 labels"
+        )
     remaining = [0] * pt.vertex_count
     for f in pt.faces:
         for v in f:
             remaining[v] += 1
 
     cur = np.ones((), dtype=np.float64)
-    cur_axes: list[tuple[str, int]] = []  # ('v', vertex) or ('h', face)
+    cur_axes: list[int] = []  # sorted, so the output needs no transpose
     by_face = {fa.face_index: fa for fa in ac.assignments}
     for a in face_order:
         fa = by_face[a]
         cyc = _oriented_cycle(pt.faces[a], fa.orientation)
-        t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
-        t_axes = [("v", v) for v in cyc]
+        t_axes = list(cyc)
         if hovering:
-            t_axes.insert(hover_position - 1, ("h", a))
-        union = cur_axes + [ax for ax in t_axes if ax not in cur_axes]
-        if d ** len(union) > DENSE_BUDGET:
-            raise TooLarge(
-                f"{ac.mode}-mode intermediate d^{len(union)} = {d}^{len(union)} "
-                f"exceeds {DENSE_BUDGET}"
-            )
-        cur = cur.reshape(cur.shape + (1,) * (len(union) - len(cur_axes)))
-        cur = cur * _broadcast_to_union(t, t_axes, union)
-        cur_axes = union
+            t_axes.insert(hover_position - 1, pt.vertex_count + a)
         for v in cyc:
             remaining[v] -= 1
-            if hovering and remaining[v] == 0:
-                ax = cur_axes.index(("v", v))
-                cur = cur.sum(axis=ax)
-                cur_axes.pop(ax)
-    amps = cur.transpose(np.argsort([i for _, i in cur_axes])).reshape(-1)
+        closed = {v for v in cyc if remaining[v] == 0} if hovering else set()
+        out_axes = sorted(set(cur_axes).union(t_axes) - closed)
+        if d ** len(out_axes) > DENSE_BUDGET:
+            raise TooLarge(
+                f"{ac.mode}-mode intermediate d^{len(out_axes)} = {d}^{len(out_axes)} "
+                f"exceeds {DENSE_BUDGET}"
+            )
+        t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
+        cur = np.einsum(cur, cur_axes, t, t_axes, out_axes, optimize=True)
+        cur_axes = out_axes
+    amps = cur.reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm == 0:
         raise ZeroState("contraction annihilated all amplitudes")
@@ -159,29 +134,39 @@ def contract(
 def hovering_accumulate_reference(
     ac: AgreementContraction, hover_position: int = 6, chunk: int = 2048
 ) -> StateVector:
-    """Brute-force reference for hovering mode: accumulate, over every vertex
-    configuration, the rank-1 product of per-face coefficient pairs into the
-    d^F hover array. Slow (about d^(V+F) multiply-adds); used to validate the
-    elimination path."""
+    """Brute-force reference for hovering mode: a sum, over every vertex
+    configuration, of the rank-1 product of per-face coefficient pairs in the
+    d^F hover array. The faces split into two halves; for each chunk of
+    configurations, the Kronecker rows A and B of each half's pairs give
+    that chunk's sum as one matrix product A^T B. No vertex is eliminated,
+    so it checks the contraction independently (2^V configurations)."""
     pt = ac.polytope
     d = ac.assignments[0].tensor.d
     if d != 2:
         raise InvalidContraction(f"reference accumulation is implemented for qubits, not d = {d}")
     v_count, f_count = pt.vertex_count, pt.face_count
-    coeff = []  # per face: (2^V,) arrays for h = 0 and h = 1
-    idx_arrays = _face_index_arrays(pt, ac.assignments, d)
-    for fa, f_idx in zip(ac.assignments, idx_arrays):
-        t = _hover_axis_order(fa.tensor, hover_position).reshape(-1, d)
-        coeff.append((t[f_idx, 0], t[f_idx, 1]))
-    out = np.zeros(2**f_count, dtype=np.float64)
+    faces = [
+        (_oriented_cycle(pt.faces[fa.face_index], fa.orientation),
+         _hover_axis_order(fa.tensor, hover_position).reshape(-1, d))
+        for fa in sorted(ac.assignments, key=lambda fa: fa.face_index)
+    ]
+    halves = (faces[: f_count // 2], faces[f_count // 2 :])
+    out = np.zeros((2 ** len(halves[0]), 2 ** len(halves[1])), dtype=np.float64)
     total = 2**v_count
     for start in range(0, total, chunk):
-        sl = slice(start, min(start + chunk, total))
-        block = np.ones((sl.stop - sl.start, 1), dtype=np.float64)
-        for c0, c1 in coeff:
-            pair = np.stack([c0[sl], c1[sl]], axis=1)  # (chunk, 2)
-            block = (block[:, :, None] * pair[:, None, :]).reshape(block.shape[0], -1)
-        out += block.sum(axis=0)
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digit = [idx >> (v_count - 1 - v) & 1 for v in range(v_count)]
+        rows = []
+        for half in halves:
+            block = np.ones((len(idx), 1), dtype=np.float64)
+            for cyc, t in half:
+                f_idx = np.zeros(len(idx), dtype=np.int64)
+                for v in cyc:
+                    f_idx = f_idx * d + digit[v]
+                block = (block[:, :, None] * t[f_idx][:, None, :]).reshape(len(idx), -1)
+            rows.append(block)
+        out += rows[0].T @ rows[1]
+    out = out.reshape(-1)
     nrm = np.linalg.norm(out)
     if nrm == 0:
         raise ZeroState("contraction annihilated all amplitudes")

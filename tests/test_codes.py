@@ -195,6 +195,14 @@ def test_generator_must_fit_the_state():
         LinearCodeState(2, 4, g)
 
 
+def test_code_entropy_reads_its_cut_once():
+    """A one-shot iterable gives the same entropy as the list, for odd p and
+    for p = 2."""
+    for cs in (rs_code_state(3), from_parity_checks(face_parity_matrix(platonic("dodecahedron")))):
+        assert code_entropy(cs, iter([0, 1])) == code_entropy(cs, [0, 1])
+    assert code_entropy(rs_code_state(3), iter([0, 1])) == 2
+
+
 def test_code_entropy_rejects_out_of_range_sites():
     cs = rs_code_state(3)
     for cut in ([4], [0, -1], [1, 7]):

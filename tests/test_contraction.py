@@ -20,7 +20,7 @@ from polyame.contraction import (
 )
 from polyame.entropy import Bipartition, entropy, sample_partitions
 from polyame.errors import InvalidContraction, TooLarge, ZeroState
-from polyame.polytope import face_parity_matrix, platonic
+from polyame.polytope import Polytope, face_parity_matrix, platonic
 from polyame.states import ame43, ame52_table1, ame62, digits_of, normalized
 
 
@@ -134,6 +134,14 @@ _EVERY_FACE = _assign_all(_TETRA, ame43(), None)
             hover_position=4,
             face_order=[0, 1, 2, 2],
         ),
+        # 30 one-vertex faces: 60 axes, beyond einsum's 52 labels
+        lambda: contract(
+            AgreementContraction(
+                Polytope("dots", 30, tuple((v,) for v in range(30))),
+                tuple(FaceAssignment(v, normalized(1, 2, [1, 1])) for v in range(30)),
+                "vertex",
+            )
+        ),
     ],
     ids=[
         "unknown_mode",
@@ -145,6 +153,7 @@ _EVERY_FACE = _assign_all(_TETRA, ame43(), None)
         "hover_position_0",
         "hover_position_9",
         "face_order",
+        "too_many_axes",
     ],
 )
 def test_contraction_rejects_bad_input(make):
@@ -203,7 +212,8 @@ def _brute(pt, assignments, mode, hover_position=None):
 def test_contraction_matches_brute_force(solid, d):
     """Random real face tensors (one per face) and seeded orientations: both
     modes, and every hover position, equal a direct sum over all vertex
-    configurations."""
+    configurations, and so does the chunked qubit reference, whatever the
+    order in which the assignments are listed."""
     pt = platonic(solid)
     rng = np.random.default_rng(101 + 10 * d + pt.face_count)
     size = len(pt.faces[0])
@@ -229,16 +239,26 @@ def test_contraction_matches_brute_force(solid, d):
         assert got.n == pt.face_count
         want = _brute(pt, fas, "hovering", hover_position)
         assert np.max(np.abs(got.amps - want)) < 1e-12
+        if d == 2:  # the reference takes qubits; a chunk of 5 splits the configurations unevenly
+            listed_backwards = AgreementContraction(pt, fas[::-1], "hovering")
+            ref = hovering_accumulate_reference(listed_backwards, hover_position, chunk=5)
+            assert np.max(np.abs(ref.amps - want)) < 1e-12
 
 
 def test_budget_holds_every_intermediate(monkeypatch):
-    """The dodecahedron's qubit hovering output has 2^12 amplitudes, but
-    its elimination passes through 2^20-amplitude intermediates; a 2^12
-    budget rejects it before any product. The octahedron's hovering
-    intermediates stay within 2^11, so it still contracts."""
-    monkeypatch.setattr(contraction, "DENSE_BUDGET", 2**12)
-    with pytest.raises(TooLarge):
-        build_hovering()
+    """The budget covers every array the contraction holds. The
+    dodecahedron's qubit hovering output has 2^12 amplitudes, and each face
+    step sums out the vertices it closes, so the default order holds at most
+    2^18: it contracts under a 2^18 budget, to the same amplitudes, and a
+    2^17 or 2^12 budget rejects it. The octahedron's hovering intermediates
+    stay within 2^11, so it still contracts under 2^12."""
+    want = build_hovering()
+    monkeypatch.setattr(contraction, "DENSE_BUDGET", 2**18)
+    assert np.array_equal(build_hovering().amps, want.amps)
+    for budget in (2**17, 2**12):
+        monkeypatch.setattr(contraction, "DENSE_BUDGET", budget)
+        with pytest.raises(TooLarge):
+            build_hovering()
     octa = platonic("octahedron")
     fas = _assign_all(octa, normalized(4, 2, [1] * 16), None)
     assert contract(AgreementContraction(octa, fas, "hovering"), hover_position=4).n == 8
@@ -257,8 +277,6 @@ def test_hovering_entropies_are_integers():
 def test_vertex_tensor_reading_uses_cycle_order():
     """A one-face network with a one-hot tensor pins exactly the word read
     along the stored cycle, rotated by the orientation offset."""
-    from polyame.polytope import Polytope
-
     pt = Polytope("triangle", 3, ((0, 1, 2),))
     coeffs = np.zeros(8)
     coeffs[int("011", 2)] = 1.0  # the tensor fires on reading (0, 1, 1)

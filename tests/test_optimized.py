@@ -13,8 +13,9 @@ SCRIPT = textwrap.dedent(
     import sys
     import tempfile
 
+    from polyame import contraction
     from polyame.codes import codeword_census, rs_code_state
-    from polyame.contraction import AgreementContraction, _assign_all, contract
+    from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
     from polyame.entropy import Bipartition
     from polyame.errors import (
         BadStateFile, InvalidContraction, InvalidCut, NotPrime, TooLarge)
@@ -33,6 +34,11 @@ SCRIPT = textwrap.dedent(
             fh.flush()
             read_state(fh.name)
 
+    def over_budget():
+        # the default face order holds 2^18 amplitudes at its largest step
+        contraction.DENSE_BUDGET = 2**12
+        build_hovering()
+
     dodeca = platonic("dodecahedron")
     hovering = AgreementContraction(dodeca, _assign_all(dodeca, ame62(), None), "hovering")
     cases = {
@@ -46,6 +52,7 @@ SCRIPT = textwrap.dedent(
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
+        "contraction_budget": (TooLarge, over_budget),
     }
     for name, (exc, make) in cases.items():
         try:
