@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
@@ -18,14 +17,13 @@ import click
 import numpy as np
 
 from .codes import (
-    code_entropy,
     from_parity_checks,
     is_ame_code,
     min_hamming_distance,
     rs_code_state,
 )
 from .contraction import build_d1, build_d2, build_hovering
-from .entropy import entropy_sweep
+from .entropy import entropy_engine, entropy_sweep, exhaustive_partitions
 from .errors import PolyameError
 from .polytope import face_parity_matrix, platonic
 from .reports import TABLE_IDS, reproduce, reproduce_all, results_to_json
@@ -273,11 +271,12 @@ def code_d2(entropies, out):
         "generator": cs.gen.a.tolist(),
     }
     if entropies:
+        cut_entropies, _ = entropy_engine(cs)
         ent = {}
         for m in range(1, cs.n // 2 + 1):
+            bps = list(exhaustive_partitions(cs.n, m))
             ent[m] = {
-                ",".join(map(str, a)): code_entropy(cs, [x - 1 for x in a])
-                for a in combinations(range(1, cs.n + 1), m)
+                ",".join(map(str, bp.a_sites)): int(v) for bp, v in zip(bps, cut_entropies(bps))
             }
         doc["entropies"] = ent
     _emit(json.dumps(doc, indent=2), out)

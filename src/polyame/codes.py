@@ -7,7 +7,9 @@ generator restricted to the two sides of the cut. It stays exact where dense
 vectors are infeasible. For p = 2 the state is the stabilizer state with
 check matrix [G | 0 ; 0 | H], H = nullspace(G), and `code_entropy` takes the
 one qubit formula S(A) = rank M_A - |A| of `check_entropy` instead: it agrees
-on every cut, as rank(H_A) = |A| - k + rank(G_B).
+on every cut, as rank(H_A) = |A| - k + rank(G_B). `check_entropy_table` gives
+that formula's value on all 2^n cuts at once, from the number of elements of
+the rows' group supported inside each cut.
 
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
@@ -179,6 +181,31 @@ def check_entropy(rows: list[int], n: int, in_a: int) -> int:
     size = in_a.bit_count()
     mask = in_a << n | in_a
     return rank2([r & mask for r in rows], min(n, 2 * size)) - size
+
+
+def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
+    """`check_entropy` of every cut at once, as an int8 array indexed by the
+    site mask: S(A) = |A| - log2 N(A), N(A) the number of elements of the
+    group generated by the n check rows that are supported inside A
+    (Fattal et al., quant-ph/0406168). The 2^n elements come from the rows
+    by XOR doubling, and N for every mask from one histogram of their
+    support masks and an n-pass subset-sum (zeta) transform."""
+    group = np.zeros(1 << len(rows), dtype=np.int64)
+    for j, r in enumerate(rows):
+        np.bitwise_xor(group[: 1 << j], r, out=group[1 << j : 2 << j])
+    supports = group >> n
+    supports |= group
+    supports &= (1 << n) - 1
+    del group
+    count = np.bincount(supports, minlength=1 << n)
+    del supports
+    size = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        halves = count.reshape(-1, 2, 1 << i)
+        halves[:, 1] += halves[:, 0]
+        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
+    # N(A) is a power of two (a subgroup's order), so its exponent is exact.
+    return size - (np.frexp(count)[1] - 1).astype(np.int8)
 
 
 def code_entropy(cs: LinearCodeState, a) -> int:

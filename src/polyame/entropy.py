@@ -1,6 +1,8 @@
 """Von Neumann entropies over arbitrary bipartitions: the dense spectrum
 (the oracle), the AME verifier, bipartition enumeration/sampling, and the
-one engine and row fold behind `analyze` and `reproduce`.
+one engine and row fold behind `analyze` and `reproduce`. The engine ranks
+a qubit state's cuts one by one, or, for a call of many cuts of a state of
+at most TABLE_MAX_SITES sites, reads them from one table of all 2^n cuts.
 
 Sites are numbered 1..n (site j is the j-th tensor factor, most significant
 first), matching the basis convention of the states module. Entropies are in
@@ -18,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import stabilizer
-from .codes import LinearCodeState, code_entropy
+from .codes import LinearCodeState, check_entropy_table, code_entropy, cut_mask
 from .errors import BadSpectrum, InvalidCut, TooLarge
 from .polytope import Polytope, opposite_face_pair
 from .states import StateVector
@@ -27,6 +29,9 @@ EIG_CUTOFF = 1e-12
 INTEGER_TOL = 1e-9
 EXHAUSTIVE_BUDGET = 200_000
 SPARSE_SUPPORT_MAX = 4096
+# Qubit states up to this many sites may answer large calls from one table
+# of 2^n entropies (`check_entropy_table`).
+TABLE_MAX_SITES = 20
 # The backends, by the name each row and report carries.
 DENSE, STABILIZER, CODE_RANK = "dense", "stabilizer", "code-rank"
 
@@ -43,7 +48,7 @@ class Bipartition:
             raise InvalidCut(f"block {sites} of {self.n} sites must be proper and nonempty")
         if len(set(sites)) != len(sites):
             raise InvalidCut(f"block {sites} repeats a site")
-        if not all(1 <= s <= self.n for s in sites):
+        if not 1 <= sites[0] <= sites[-1] <= self.n:
             raise InvalidCut(f"block {sites} has sites outside 1..{self.n}")
 
     @property
@@ -275,23 +280,37 @@ def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
     STABILIZER formula with Z = 0. A dense state is recognised once as a
     stabilizer state and uses the rank formula of its check matrix
     (STABILIZER), else dense spectra (DENSE). Returns the function from a
-    list of bipartitions to their entropies (bits), and the backend's name."""
+    list of bipartitions to their entropies (bits), and the backend's name.
+
+    A qubit state of at most TABLE_MAX_SITES sites answers a call of at
+    least 2^n / n cuts from `check_entropy_table` of its check rows, built
+    on the first such call and kept; smaller calls, and odd p, rank each
+    cut. Both give the same integers."""
     if isinstance(state, LinearCodeState):
         backend, cut_entropy = CODE_RANK, partial(code_entropy, state)
+        qubits = state if state.p == 2 else None
     else:
         state.check_normalized()
         st = stabilizer.from_statevector(state)
         if st is None:
             return (lambda bps: batch_entropies(state, bps)), DENSE
         backend, cut_entropy = STABILIZER, partial(stabilizer.stabilizer_entropy, st)
+        qubits = st
     n = state.n
+    table = None
 
     def entropies(bps):
-        out = []
+        nonlocal table
+        cuts = []
         for bp in bps:
             _check_cut(n, bp)
-            out.append(float(cut_entropy([s - 1 for s in bp.a_sites])))
-        return out
+            cuts.append([s - 1 for s in bp.a_sites])
+        if qubits is None or n > TABLE_MAX_SITES or len(cuts) * n < 1 << n:
+            return [float(cut_entropy(a)) for a in cuts]
+        if table is None:
+            table = check_entropy_table(qubits.check_rows, n)
+        masks = np.array([cut_mask(n, a) for a in cuts], dtype=np.int64)
+        return table[masks].astype(np.float64).tolist()
 
     return entropies, backend
 

@@ -40,6 +40,15 @@ class Polytope:
                 faces_of.setdefault((min(u, v), max(u, v)), []).append(a)
         return {e: tuple(fs) for e, fs in faces_of.items()}
 
+    @cached_property
+    def face_adjacency(self) -> tuple[frozenset[int], ...]:
+        """For each face, the faces that share an edge with it."""
+        adj: list[set[int]] = [set() for _ in self.faces]
+        for a, b in self.edge_faces.values():
+            adj[a].add(b)
+            adj[b].add(a)
+        return tuple(map(frozenset, adj))
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of undirected edges (u < v) collected from face cycles."""
@@ -159,16 +168,12 @@ def face_parity_matrix(pt: Polytope) -> GfMatrix:
 
 def face_adjacency_distance(pt: Polytope, face: int) -> list[int]:
     """BFS distances from `face` in the graph of faces sharing an edge."""
-    adj: list[set[int]] = [set() for _ in pt.faces]
-    for a, b in pt.edge_faces.values():
-        adj[a].add(b)
-        adj[b].add(a)
     dist = [-1] * pt.face_count
     dist[face] = 0
     q = deque([face])
     while q:
         a = q.popleft()
-        for b in adj[a]:
+        for b in pt.face_adjacency[a]:
             if dist[b] < 0:
                 dist[b] = dist[a] + 1
                 q.append(b)
@@ -188,7 +193,10 @@ def opposite_face_pair(pt: Polytope, face: int) -> int:
         raise NoOppositeFace(f"no face disjoint from {face} on {pt.name}")
     far = max(dist[a] for a in disjoint)
     candidates = [a for a in disjoint if dist[a] == far]
-    assert len(candidates) == 1, "antipodal face is not unique"
+    if len(candidates) != 1:
+        raise NoOppositeFace(
+            f"{len(candidates)} faces of {pt.name} are disjoint from {face} and farthest from it"
+        )
     return candidates[0]
 
 

@@ -22,13 +22,21 @@ as 2n-bit ints (X bits above Z bits), each ANDed with A's mask. The G and H
 rows with Z = 0 are the code state's own check rows, which `code_entropy`
 ranks the same way for p = 2; beta = 0 gives that code state back.
 
-`from_statevector` recognises such a state in a dense qubit vector.
+The group the rows generate has 2^n elements, and S(A) = |A| - log2 N(A)
+with N(A) the number supported inside A; `codes.check_entropy_table` reads
+every cut at once that way.
+
+`from_statevector` recognises such a state in a dense qubit vector. It reads
+(G, x0, Q) from the support and the signs, checks the support and the signs
+by doubling, and sums the distance from the described vector without
+building that vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import sqrt
 from typing import Optional
 
 import numpy as np
@@ -86,31 +94,35 @@ class StabilizerState:
         return [x | zx for x, zx in zip(rows, pack_rows(z))] + rows[k:]
 
     def amplitudes(self) -> np.ndarray:
-        """The dense 2^n vector. Points and signs are built by doubling: the
-        points of span(g_0..g_j) are those of span(g_0..g_{j-1}) and the same
-        plus g_j, where Q changes by q_jj + sum_{i<j} q_ij u_i."""
+        """The dense 2^n vector. Points are built by doubling, like the signs
+        (`_signs`): the points of span(g_0..g_j) are those of
+        span(g_0..g_{j-1}) and the same plus g_j."""
         k, n = self.code.k, self.code.n
-        q = np.asarray(self.q)
         pts = np.empty(1 << k, dtype=np.int64)
-        neg = np.empty(1 << k, dtype=bool)
-        pts[0], neg[0] = self.shift, bool(self.q0)
+        pts[0] = self.shift
         for j, row in enumerate(self.code.check_rows[:k]):
-            half = 1 << j
-            cross = sum(1 << i for i in range(j) if q[i, j])
-            pts[half : 2 * half] = pts[:half] ^ (row >> n)
-            flip = _parity(np.arange(half, dtype=np.int64) & cross).astype(bool)
-            neg[half : 2 * half] = neg[:half] ^ flip ^ bool(q[j, j])
+            np.bitwise_xor(pts[: 1 << j], row >> n, out=pts[1 << j : 2 << j])
+        c = 2.0 ** (-k / 2)
         amps = np.zeros(1 << n, dtype=np.float64)
-        amps[pts] = 2.0 ** (-k / 2)
-        amps[pts[neg]] *= -1
+        amps[pts] = np.where(_signs(self.q, self.q0), -c, c)
         return amps
 
 
-def _parity(x: np.ndarray) -> np.ndarray:
-    """Bit parity of non-negative int64 entries, by XOR-folding."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return x & 1
+def _signs(q: np.ndarray, q0: int) -> np.ndarray:
+    """Whether Q(u) = 1, for every u in GF(2)^k (bit j of the index is u_j),
+    built by doubling: for u < 2^j, Q(u + e_j) = Q(u) + q_jj + sum_{i<j}
+    q_ij u_i, and that linear term is itself built by doubling over i."""
+    q = np.asarray(q).tolist()
+    k = len(q)
+    neg = np.empty(1 << k, dtype=bool)
+    lin = np.empty(max(1 << k >> 1, 1), dtype=bool)
+    neg[0] = bool(q0)
+    for j in range(k):
+        lin[0] = bool(q[j][j])
+        for i in range(j):
+            np.bitwise_xor(lin[: 1 << i], bool(q[i][j]), out=lin[1 << i : 2 << i])
+        np.bitwise_xor(neg[: 1 << j], lin[: 1 << j], out=neg[1 << j : 2 << j])
+    return neg
 
 
 def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
@@ -120,26 +132,37 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     x0 + span(r_0..r_{k-1}), x0 its minimum and the r_j reduced (each r_j's
     leading bit set in no other r_i, leading bits rising with j), the point
     at sorted position i is x0 + sum of the r_j over the bits j of i. So the
-    basis is read at positions 2^j, and a support whose r_j do not rise has
-    no such form. Q is read from the signs at x0, x0 + g_i and x0 + g_i + g_j.
+    basis is read at positions 2^j, and the support is that coset iff each
+    doubling holds: positions 2^j..2^(j+1)-1 are positions 0..2^j-1 plus
+    r_j (which also makes the r_j independent). A support of all 2^n points
+    is read with no index array. Q is read from the signs at x0, x0 + g_i
+    and x0 + g_i + g_j.
+
     The result is accepted only if sv is within RECOGNITION_TOL (Euclidean)
-    of the ideal vector it describes, which checks the support and Q on every
-    point.
+    of the vector it describes, without building that vector. Every support
+    point must carry Q's sign: one wrong sign alone is 2^(-k/2) away, far
+    above RECOGNITION_TOL. The squared distance is then the sum of
+    (|a| - 2^(-k/2))^2 on the support and of a^2 off it.
     """
     if sv.d != 2:
         return None
     amps, n = sv.amps, sv.n
     half_max = 0.5 * max(amps.max(), -amps.min())
-    w = np.flatnonzero((amps > half_max) | (amps < -half_max))
-    k = max(w.size.bit_length() - 1, 0)
-    if w.size != 1 << k:
+    support = (amps > half_max) | (amps < -half_max)
+    size = int(np.count_nonzero(support))
+    k = max(size.bit_length() - 1, 0)
+    if size != 1 << k:
         return None
-    x0 = int(w[0])
-    basis = [int(w[1 << j]) ^ x0 for j in range(k)]
-    del w
-    tops = [r.bit_length() for r in basis]
-    if any(lo >= hi for lo, hi in zip(tops, tops[1:])):
-        return None
+    if k == n:
+        w, x0, basis = None, 0, [1 << j for j in range(n)]
+    else:
+        w = np.flatnonzero(support)
+        x0 = int(w[0])
+        basis = [int(w[1 << j]) ^ x0 for j in range(k)]
+        for j, r in enumerate(basis):
+            if not np.array_equal(w[1 << j : 2 << j], w[: 1 << j] ^ r):
+                return None
+    del support
     b = np.array(basis, dtype=np.int64)
     g = b[:, None] >> np.arange(n - 1, -1, -1) & 1
     neg0 = int(amps[x0] < 0)
@@ -147,10 +170,19 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     pair = (amps[x0 ^ b[:, None] ^ b[None, :]] < 0).astype(np.int64)
     q = np.triu(pair ^ single[:, None] ^ single[None, :] ^ neg0, 1)
     q[np.diag_indices(k)] = single
-    st = StabilizerState(LinearCodeState(2, n, GfMatrix(g, 2)), x0, q, neg0)
-    ideal = st.amplitudes()
-    ideal -= amps
-    return st if np.linalg.norm(ideal) <= RECOGNITION_TOL else None
+    on = amps if w is None else amps[w]
+    if not np.array_equal(on < 0, _signs(q, neg0)):
+        return None
+    dev = np.abs(on)
+    dev -= 2.0 ** (-k / 2)
+    dist2 = float(dev @ dev)
+    if w is not None:
+        off = amps.copy()
+        off[w] = 0.0
+        dist2 += float(off @ off)
+    if sqrt(dist2) > RECOGNITION_TOL:
+        return None
+    return StabilizerState(LinearCodeState(2, n, GfMatrix(g, 2)), x0, q, neg0)
 
 
 def stabilizer_entropy(st: StabilizerState, a_sites) -> int:

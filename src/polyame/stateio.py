@@ -33,6 +33,8 @@ VERSION = 1
 ENC_INT8 = 1
 ENC_FLOAT64 = 2
 DTYPES = {ENC_INT8: np.dtype(np.int8), ENC_FLOAT64: np.dtype("<f8")}
+# Amplitudes per step of the int8 trial.
+INT8_CHUNK = 1 << 16
 
 
 def _decode_int8(ints: np.ndarray) -> np.ndarray:
@@ -43,14 +45,27 @@ def _decode_int8(ints: np.ndarray) -> np.ndarray:
 
 def _as_int8_multiple(amps: np.ndarray):
     """Smallest int8 vector proportional to amps whose decoding gives back
-    amps bit for bit, or None."""
-    if not np.any(amps):
+    amps bit for bit, or None. Works on INT8_CHUNK amplitudes at a time, with
+    no full-size float temporary, and stops at the first chunk that does not
+    decode. The integer vector's squared norm is summed exactly (its partial
+    sums stay far below 2^53), so the norm is `_decode_int8`'s."""
+    chunks = [amps[i : i + INT8_CHUNK] for i in range(0, amps.size, INT8_CHUNK)]
+    scale = min(np.min(np.abs(c), where=c != 0, initial=np.inf) for c in chunks)
+    if scale == np.inf:
         return None
-    ints = np.rint(amps / np.abs(amps[amps != 0]).min())
-    if np.max(np.abs(ints)) > 127:
-        return None
-    ints = ints.astype(np.int8)
-    return ints if np.array_equal(_decode_int8(ints), amps) else None
+    ints = np.empty(amps.size, dtype=np.int8)
+    int_chunks = [ints[i : i + INT8_CHUNK] for i in range(0, amps.size, INT8_CHUNK)]
+    square_sum = 0
+    for c, out in zip(chunks, int_chunks):
+        rounded = np.rint(c / scale)
+        if np.abs(rounded).max() > 127:
+            return None
+        out[:] = rounded
+        square_sum += int(rounded @ rounded)
+    norm = np.sqrt(float(square_sum))
+    if all(np.array_equal(out / norm, c) for c, out in zip(chunks, int_chunks)):
+        return ints
+    return None
 
 
 def write_state(path, sv: StateVector) -> str:

@@ -18,9 +18,9 @@ SCRIPT = textwrap.dedent(
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
     from polyame.entropy import Bipartition
     from polyame.errors import (
-        BadStateFile, InvalidContraction, InvalidCut, NotPrime, TooLarge)
+        BadStateFile, InvalidContraction, InvalidCut, NoOppositeFace, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
-    from polyame.polytope import platonic
+    from polyame.polytope import Polytope, opposite_face_pair, platonic
     from polyame.stabilizer import from_statevector
     from polyame.stateio import read_state
     from polyame.states import ame52_table1, ame62, normalized
@@ -39,6 +39,11 @@ SCRIPT = textwrap.dedent(
         contraction.DENSE_BUDGET = 2**12
         build_hovering()
 
+    # A hexagonal prism's square face 2 has three disjoint faces, all at
+    # face distance 2: no unique opposite face.
+    prism = Polytope("hexagonal-prism", 12, (tuple(range(6)), tuple(range(6, 12))) + tuple(
+        (i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6) for i in range(6)))
+
     dodeca = platonic("dodecahedron")
     hovering = AgreementContraction(dodeca, _assign_all(dodeca, ame62(), None), "hovering")
     cases = {
@@ -53,6 +58,7 @@ SCRIPT = textwrap.dedent(
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
         "contraction_budget": (TooLarge, over_budget),
+        "opposite_face": (NoOppositeFace, lambda: opposite_face_pair(prism, 2)),
     }
     for name, (exc, make) in cases.items():
         try:

@@ -1,6 +1,7 @@
 """Stabilizer-form entropy engine: the rank formula against dense spectra,
 recognition of dense vectors, and the routing of sweeps."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyame import stabilizer
-from polyame.codes import LinearCodeState, code_entropy, dense_statevector
+from polyame.codes import (
+    LinearCodeState,
+    check_entropy,
+    check_entropy_table,
+    code_entropy,
+    cut_mask,
+    dense_statevector,
+    from_parity_checks,
+)
 from polyame.contraction import build_d1, build_d2, build_hovering
 from polyame.entropy import (
     Bipartition,
@@ -24,6 +33,7 @@ from polyame.entropy import (
 )
 from polyame.errors import InvalidCode
 from polyame.gf import GfMatrix, rank, rank2, rref, submatrix_columns
+from polyame.polytope import face_parity_matrix, platonic
 from polyame.stabilizer import StabilizerState, from_statevector, stabilizer_entropy
 from polyame.states import StateVector, ame43, ame52_table1, normalized
 
@@ -69,14 +79,18 @@ def test_rank_formula_matches_dense_spectrum(state):
     assert not any(_symplectic(x, y, n) for x, y in combinations(code_rows, 2))
     code_sv = dense_statevector(code)
     flat = StabilizerState(code, state.shift, np.zeros_like(state.q))
+    table, code_table = check_entropy_table(rows, n), check_entropy_table(code_rows, n)
+    assert table[0] == table[-1] == code_table[0] == code_table[-1] == 0
     for m in range(1, n):
         for sites in combinations(range(1, n + 1), m):
             a = [s - 1 for s in sites]
             s = stabilizer_entropy(state, a)
             assert abs(entropy(sv, Bipartition(n, sites)) - s) < 1e-9
             assert stabilizer_entropy(found, a) == s
+            assert table[cut_mask(n, a)] == s
             c = code_entropy(code, a)
             assert stabilizer_entropy(flat, a) == c
+            assert code_table[cut_mask(n, a)] == c
             assert abs(entropy(code_sv, Bipartition(n, sites)) - c) < 1e-9
             # The two-rank formula on the generator, as an oracle.
             b = [j for j in range(n) if j not in a]
@@ -113,6 +127,52 @@ REJECTED = {
 }
 
 
+def _moved(build, index, by=0.0, sign=1.0):
+    """A built state with one amplitude scaled by `sign` and moved by `by`."""
+    sv = build()
+    amps = sv.amps.copy()
+    amps[index] = sign * amps[index] + by
+    return StateVector(sv.n, 2, amps)
+
+
+@pytest.mark.parametrize(
+    "build, index, by, sign, accepted",
+    [
+        # d1 has every amplitude on its support (k = n).
+        (build_d1, 12345, 5e-13, 1.0, True),
+        (build_d1, 12345, 2e-12, 1.0, False),
+        (build_d1, 12345, 0.0, -1.0, False),
+        # Index 1 is off d2's support of 256 points.
+        (build_d2, 1, 5e-13, 1.0, True),
+        (build_d2, 1, 2e-12, 1.0, False),
+        (build_d2, 0, 0.0, -1.0, False),
+    ],
+)
+def test_recognition_at_the_tolerance(build, index, by, sign, accepted):
+    """RECOGNITION_TOL is 1e-12 in Euclidean distance from the ideal vector:
+    the distance is summed on and off the support, and one wrong sign is
+    2^(-k/2) away."""
+    found = from_statevector(_moved(build, index, by, sign))
+    assert (found is not None) == accepted
+    if accepted:
+        ideal = from_statevector(build())
+        assert np.array_equal(found.amplitudes(), ideal.amplitudes())
+
+
+def test_recognition_builds_no_ideal_vector():
+    """Recognising d1 holds at most one 2^20 float temporary (8 MiB) besides
+    a few bool vectors; building the 2^20-amplitude ideal vector as well
+    reaches ~25 MiB."""
+    sv = build_d1()
+    tracemalloc.start()
+    try:
+        found = from_statevector(sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_recognition_rejects(name):
     sv = REJECTED[name]()
@@ -141,6 +201,41 @@ def test_dodecahedron_states_are_recognised(build, k):
         for bp in sample_partitions(sv.n, m, 2, seed=m):
             s = stabilizer_entropy(state, [x - 1 for x in bp.a_sites])
             assert abs(entropy(sv, bp) - s) < 1e-9
+
+
+def _d2_code():
+    return from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
+
+
+@pytest.mark.parametrize(
+    "state, max_m",
+    [
+        (lambda: from_statevector(build_hovering()), 11),
+        (lambda: from_statevector(build_d1()), 4),
+        (_d2_code, 4),
+    ],
+    ids=["hovering", "d1", "d2-code"],
+)
+def test_table_matches_per_cut_rank(state, max_m):
+    """The subset-count table against the per-cut masked rank, on every cut
+    of up to max_m sites (every proper cut of the 12-site state)."""
+    rows = state().check_rows
+    n = len(rows)  # a complete set of checks: one row per site
+    table = check_entropy_table(rows, n)
+    assert table.shape == (1 << n,)
+    for m in range(1, max_m + 1):
+        for a in combinations(range(n), m):
+            mask = cut_mask(n, a)
+            assert table[mask] == check_entropy(rows, n, mask), a
+
+
+def test_engine_table_and_per_cut_calls_agree():
+    """A call of at least 2^n / n cuts reads the table; single cuts rank."""
+    sv = build_hovering()
+    bps = list(exhaustive_partitions(sv.n, sv.n // 2))
+    entropies, backend = entropy_engine(sv)
+    assert backend == "stabilizer"
+    assert entropies(bps) == [entropies([bp])[0] for bp in bps]
 
 
 def test_d1_exhaustive_m6_census():

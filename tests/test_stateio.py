@@ -10,7 +10,7 @@ from polyame.cli import main
 from polyame.contraction import build_d1, build_d2
 from polyame.errors import BadStateFile, PolyameError
 from polyame.stateio import MAGIC, read_state, write_state
-from polyame.states import ame52_table1, ghz, normalized
+from polyame.states import StateVector, ame52_table1, ghz, normalized
 
 
 def test_int8_round_trip_bit_exact(tmp_path):
@@ -84,6 +84,14 @@ def test_d2_round_trip_stays_int8(tmp_path):
     path = tmp_path / "d2.bin"
     assert write_state(path, sv) == "int8"
     assert np.array_equal(read_state(path).amps, sv.amps)
+    # One ulp off in the last nonzero amplitude, far past the first chunk the
+    # int8 trial decodes, and the state no longer decodes from int8.
+    amps = sv.amps.copy()
+    last = np.flatnonzero(amps)[-1]
+    amps[last] = np.nextafter(amps[last], 1.0)
+    off = StateVector(sv.n, 2, amps)
+    assert write_state(path, off) == "float64"
+    assert np.array_equal(read_state(path).amps, amps)
 
 
 def _header(n, d, enc=1, version=1):
