@@ -5,13 +5,16 @@ legs of the faces meeting there: the product of face amplitudes is taken
 with all legs at a vertex forced to the same value. In vertex mode that
 shared value is the physical spin; in hovering mode the vertex spins are
 internal (summed over) and one extra site per face survives as the output.
-`contract` absorbs the faces one at a time, each by one einsum that also sums
-out the vertices that face closes, so it never holds a pre-sum product.
+`contract` absorbs the faces one at a time. A face step that closes a vertex
+is one einsum that also sums that vertex out, so it never holds a pre-sum
+product; a step that closes none sums nothing and is an in-place broadcast
+product (`_product`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,16 +73,56 @@ def _hover_axis_order(tensor: StateVector, hover_position: int) -> np.ndarray:
     return tensor.amps.reshape((d,) * n).transpose(cell_axes)
 
 
+# Longest run of trailing output axes, in amplitudes, that `_product` merges
+# into one contiguous axis: numpy's inner loop runs along it, and the face
+# tensor is expanded over it to at most d^sites * PRODUCT_RUN entries.
+PRODUCT_RUN = 2**10
+
+
+def _product(cur, cur_axes, t, t_axes, out_axes) -> np.ndarray:
+    """cur * t over `out_axes`, the sorted union of the two arrays' axes,
+    with nothing summed: each amplitude is the one product einsum forms.
+    The output is allocated only if t opens axes cur lacks (or cur must
+    change dtype, or is an einsum result that is not C-ordered), and cur is
+    copied in once per value of those axes; otherwise cur itself is
+    multiplied in place. The trailing axes, merged into one run of at most
+    PRODUCT_RUN amplitudes, carry t expanded over them, so the broadcast
+    multiply's inner loop is that run, not one axis of length d."""
+    d, m = t.shape[0], len(out_axes)
+    dtype = np.result_type(cur, t)
+    new = [i for i, ax in enumerate(out_axes) if ax not in cur_axes]
+    if new or cur.dtype != dtype or not cur.flags.c_contiguous:
+        out = np.empty((d,) * m, dtype=dtype)
+        idx = [slice(None)] * m
+        for vals in product(range(d), repeat=len(new)):
+            for i, v in zip(new, vals):
+                idx[i] = v
+            out[tuple(idx)] = cur
+    else:
+        out = cur
+    r = 0
+    while r < m and d ** (r + 1) <= PRODUCT_RUN:
+        r += 1
+    shape = [d if ax in t_axes else 1 for ax in out_axes]
+    lead = shape[: m - r]
+    t_sorted = t.transpose(np.argsort(t_axes)).reshape(shape)
+    expanded = np.broadcast_to(t_sorted, lead + [d] * r).reshape(lead + [d**r])
+    runs = out.reshape((d,) * (m - r) + (d**r,))
+    np.multiply(runs, expanded, out=runs)
+    return out
+
+
 def contract(
     ac: AgreementContraction,
     hover_position: int = 6,
     face_order: Optional[Sequence[int]] = None,
 ) -> StateVector:
     """Contract the network face by face, in `face_order` (default: by face
-    index). Each oriented face tensor is absorbed by one einsum with the
-    running array: the agreement tensor makes it a diagonal product over the
-    union of their open axes, and in hovering mode the same call sums out
-    every vertex this face closes, so no pre-sum product is ever built.
+    index). Each oriented face tensor is absorbed into the running array:
+    the agreement tensor makes it a diagonal product over the union of
+    their open axes. A step that closes a vertex (hovering mode only) is one
+    einsum that also sums out every vertex it closes, so no pre-sum product
+    is ever built; a step that closes none is `_product`, in place.
     Vertex mode outputs one site per vertex. Hovering mode outputs one site
     per face: the site at `hover_position` (1-based) of each face tensor.
     Every array the contraction holds is within DENSE_BUDGET amplitudes."""
@@ -122,13 +165,17 @@ def contract(
                 f"exceeds {DENSE_BUDGET}"
             )
         t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
-        cur = np.einsum(cur, cur_axes, t, t_axes, out_axes, optimize=True)
+        if closed:
+            cur = np.einsum(cur, cur_axes, t, t_axes, out_axes, optimize=True)
+        else:
+            cur = _product(cur, cur_axes, t, t_axes, out_axes)
         cur_axes = out_axes
     amps = cur.reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm == 0:
         raise ZeroState("contraction annihilated all amplitudes")
-    return StateVector(len(cur_axes), d, amps / nrm)
+    amps /= nrm
+    return StateVector(len(cur_axes), d, amps)
 
 
 def hovering_accumulate_reference(

@@ -51,6 +51,10 @@ from .states import StateVector
 # dense entropy then lies within 1e-9 of the rank value.
 RECOGNITION_TOL = 1e-12
 
+# Amplitudes per chunk of the recognition distance sum, so that no
+# temporary as large as the state is held.
+DISTANCE_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class StabilizerState:
@@ -142,7 +146,7 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     of the vector it describes, without building that vector. Every support
     point must carry Q's sign: one wrong sign alone is 2^(-k/2) away, far
     above RECOGNITION_TOL. The squared distance is then the sum of
-    (|a| - 2^(-k/2))^2 on the support and of a^2 off it.
+    (|a| - 2^(-k/2))^2 on the support and of a^2 off it (`_distance2`).
     """
     if sv.d != 2:
         return None
@@ -173,14 +177,7 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
     on = amps if w is None else amps[w]
     if not np.array_equal(on < 0, _signs(q, neg0)):
         return None
-    dev = np.abs(on)
-    dev -= 2.0 ** (-k / 2)
-    dist2 = float(dev @ dev)
-    if w is not None:
-        off = amps.copy()
-        off[w] = 0.0
-        dist2 += float(off @ off)
-    if sqrt(dist2) > RECOGNITION_TOL:
+    if sqrt(_distance2(amps, w, 2.0 ** (-k / 2))) > RECOGNITION_TOL:
         return None
     return StabilizerState(LinearCodeState(2, n, GfMatrix(g, 2)), x0, q, neg0)
 
@@ -190,3 +187,27 @@ def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
     0-based like `code_entropy`: `check_entropy` of the check rows."""
     n = st.code.n
     return check_entropy(st.check_rows, n, cut_mask(n, a_sites))
+
+
+def _distance2(amps: np.ndarray, w: Optional[np.ndarray], c: float) -> float:
+    """Sum of (|a| - c)^2 on the support and of a^2 off it, chunk by chunk.
+    The support is the sorted index array w, or every index if w is None.
+    The off-support squares are summed from each chunk with its support
+    points zeroed, never as a total less the support's share, which would
+    cancel away a distance near RECOGNITION_TOL."""
+    dist2 = 0.0
+    for start in range(0, len(amps), DISTANCE_CHUNK):
+        chunk = amps[start : start + DISTANCE_CHUNK]
+        if w is None:
+            on = chunk
+        else:
+            lo, hi = np.searchsorted(w, (start, start + len(chunk)))
+            pos = w[lo:hi] - start
+            on = chunk[pos]
+            off = chunk.copy()
+            off[pos] = 0.0
+            dist2 += float(off @ off)
+        dev = np.abs(on)
+        dev -= c
+        dist2 += float(dev @ dev)
+    return dist2

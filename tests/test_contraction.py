@@ -1,6 +1,8 @@
 """Agreement-tensor contraction over polytopes: the two dodecahedron states
 and the hovering mode."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from polyame.contraction import (
 from polyame.entropy import Bipartition, entropy, sample_partitions
 from polyame.errors import InvalidContraction, TooLarge, ZeroState
 from polyame.polytope import Polytope, face_parity_matrix, platonic
-from polyame.states import ame43, ame52_table1, ame62, digits_of, normalized
+from polyame.states import StateVector, ame43, ame52_table1, ame62, digits_of, normalized
 
 
 def test_oriented_cycle():
@@ -262,6 +264,87 @@ def test_budget_holds_every_intermediate(monkeypatch):
     octa = platonic("octahedron")
     fas = _assign_all(octa, normalized(4, 2, [1] * 16), None)
     assert contract(AgreementContraction(octa, fas, "hovering"), hover_position=4).n == 8
+
+
+def test_budget_holds_vertex_mode(monkeypatch):
+    """d1's last face steps hold all 2^20 output amplitudes: a 2^19 budget
+    rejects the build, and a 2^20 one gives the same bits."""
+    want = build_d1()
+    monkeypatch.setattr(contraction, "DENSE_BUDGET", 2**19)
+    with pytest.raises(TooLarge):
+        build_d1()
+    monkeypatch.setattr(contraction, "DENSE_BUDGET", 2**20)
+    assert np.array_equal(build_d1().amps, want.amps)
+
+
+def _einsum_steps(ac, hover_position=6, face_order=None):
+    """`contract` with every face step one einsum, whether or not it sums:
+    the kernel that the in-place product steps must match bit for bit."""
+    pt, d = ac.polytope, ac.assignments[0].tensor.d
+    remaining = Counter(v for f in pt.faces for v in f)
+    cur, cur_axes = np.ones(()), []
+    by_face = {fa.face_index: fa for fa in ac.assignments}
+    for a in range(pt.face_count) if face_order is None else face_order:
+        fa = by_face[a]
+        cyc = _oriented_cycle(pt.faces[a], fa.orientation)
+        t_axes = list(cyc)
+        if ac.mode == "hovering":
+            t_axes.insert(hover_position - 1, pt.vertex_count + a)
+        remaining.subtract(cyc)
+        closed = {v for v in cyc if remaining[v] == 0} if ac.mode == "hovering" else set()
+        out_axes = sorted(set(cur_axes).union(t_axes) - closed)
+        t = fa.tensor.amps.reshape((d,) * fa.tensor.n)
+        cur = np.einsum(cur, cur_axes, t, t_axes, out_axes, optimize=True)
+        cur_axes = out_axes
+    amps = cur.reshape(-1)  # C order, as the norm is summed over it
+    return amps / np.linalg.norm(amps)
+
+
+def _random_faces(pt, sites, d, rng, writeable=True):
+    fas = []
+    for a in range(pt.face_count):
+        amps = normalized(sites, d, rng.standard_normal(d**sites)).amps
+        amps.flags.writeable = writeable
+        fas.append(FaceAssignment(a, StateVector(sites, d, amps), int(rng.integers(0, 5))))
+    return tuple(fas)
+
+
+@pytest.mark.parametrize(
+    "solid, d",
+    [("dodecahedron", 2), ("tetrahedron", 3), ("hexahedron", 3), ("octahedron", 3)],
+)
+def test_contract_matches_einsum_steps_bit_for_bit(solid, d):
+    """Random real face tensors, seeded orientations and face orders, both
+    modes and a seeded hover position: the product steps round exactly as
+    einsum does, so the amplitudes are equal, not merely close. Random
+    tensors make any other order of multiplication round differently."""
+    pt = platonic(solid)
+    size = len(pt.faces[0])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for mode, sites in (("vertex", size), ("hovering", size + 1)):
+            ac = AgreementContraction(pt, _random_faces(pt, sites, d, rng), mode)
+            order = [int(a) for a in rng.permutation(pt.face_count)]
+            kw = {"hover_position": int(rng.integers(1, sites + 1))} if mode == "hovering" else {}
+            got = contract(ac, face_order=order, **kw)
+            assert np.array_equal(got.amps, _einsum_steps(ac, face_order=order, **kw)), (mode, seed)
+
+
+def test_contraction_never_writes_its_inputs():
+    """Read-only face tensors contract to the same bits as writeable ones."""
+    pt = platonic("dodecahedron")
+    table = ame52_table1().amps.copy()
+    table.flags.writeable = False
+    read_only = StateVector(5, 2, table)
+    ac = AgreementContraction(pt, _assign_all(pt, read_only, [1, 2, 3, 4, 0] * 2 + [1, 1]), "vertex")
+    want = build_d1([1, 2, 3, 4, 0] * 2 + [1, 1])
+    assert np.array_equal(contract(ac).amps, want.amps)
+    for mode, sites in (("vertex", 5), ("hovering", 6)):
+        rng = np.random.default_rng(7)
+        ac = AgreementContraction(pt, _random_faces(pt, sites, 2, rng, writeable=False), mode)
+        rng = np.random.default_rng(7)
+        writeable = AgreementContraction(pt, _random_faces(pt, sites, 2, rng), mode)
+        assert np.array_equal(contract(ac).amps, contract(writeable).amps)
 
 
 def test_hovering_entropies_are_integers():

@@ -160,17 +160,18 @@ def test_recognition_at_the_tolerance(build, index, by, sign, accepted):
 
 
 def test_recognition_builds_no_ideal_vector():
-    """Recognising d1 holds at most one 2^20 float temporary (8 MiB) besides
-    a few bool vectors; building the 2^20-amplitude ideal vector as well
-    reaches ~25 MiB."""
-    sv = build_d1()
-    tracemalloc.start()
-    try:
-        found = from_statevector(sv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert found is not None and peak < 12 * 2**20
+    """Recognising d1 (k = n) or d2 (k < n) holds a few 2^20 bool vectors
+    and one chunk of the distance sum, about 3 MiB: no 2^20 float temporary
+    (8 MiB), let alone the 2^20-amplitude ideal vector (~25 MiB)."""
+    for build in (build_d1, build_d2):
+        sv = build()
+        tracemalloc.start()
+        try:
+            found = from_statevector(sv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None and peak < 4 * 2**20, build.__name__
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
