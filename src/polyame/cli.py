@@ -170,7 +170,7 @@ def build(state, orientations_file, random_orientations, hover_pos, out):
     return 0
 
 
-def _parse_plan(plan_path, m, sample, seed, n: int):
+def _parse_plan(plan_path, m, sample, seed):
     if plan_path and m is not None:
         raise PolyameError("give either --plan or --m, not both")
     if plan_path:
@@ -192,8 +192,6 @@ def _parse_plan(plan_path, m, sample, seed, n: int):
         return plan
     if m is None:
         raise PolyameError("need --plan FILE or --m M")
-    if not 1 <= m <= n - 1:
-        raise PolyameError(f"--m must be in 1..{n - 1}")
     if sample is None:
         return [(m, "exhaustive")]
     if seed is None:
@@ -223,7 +221,7 @@ def _report_csv(report) -> str:
 def analyze(state_path, plan_path, m, sample, seed, out, fmt):
     """Entropy sweep over bipartitions of a stored state."""
     sv = read_state(state_path)
-    plan = _parse_plan(plan_path, m, sample, seed, sv.n)
+    plan = _parse_plan(plan_path, m, sample, seed)
     report = entropy_sweep(sv, plan, state_id=Path(state_path).stem)
     text = _report_csv(report) if fmt == "csv" else json.dumps(report.to_dict(), indent=2)
     _emit(text, out)

@@ -156,7 +156,13 @@ def verify_ame(sv: StateVector, tol: float = 1e-10) -> AmeVerdict:
     return AmeVerdict(worst < tol, worst, worst_sites)
 
 
+def _check_block_size(n: int, m: int) -> None:
+    if not 1 <= m <= n - 1:
+        raise InvalidCut(f"block size {m} of {n} sites must be in 1..{n - 1}")
+
+
 def exhaustive_partitions(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> Iterator[Bipartition]:
+    _check_block_size(n, m)
     total = comb(n, m)
     if total > budget:
         raise TooLarge(
@@ -167,6 +173,7 @@ def exhaustive_partitions(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> It
 
 def sample_partitions(n: int, m: int, count: int, seed: int) -> list[Bipartition]:
     """Distinct uniform m-subsets, reproducible from the seed (PCG64)."""
+    _check_block_size(n, m)
     total = comb(n, m)
     count = min(count, total)
     rng = np.random.default_rng(seed)
@@ -185,6 +192,8 @@ def structured_partitions(pt: Polytope, m: Optional[int] = None) -> list[Biparti
     neighborhoods (the two faces adjacent across an edge). Filtered to block
     size m when given."""
     n = pt.vertex_count
+    if m is not None:
+        _check_block_size(n, m)
     blocks: list[tuple[int, ...]] = []
     for f in pt.faces:
         blocks.append(tuple(sorted(v + 1 for v in f)))
@@ -319,8 +328,8 @@ def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyRepo
     """plan: iterable of (m, mode) where mode is 'exhaustive',
     ('sample', count, seed), or ('structured', polytope). The state is
     recognised once; every row records the backend that computed it. The
-    whole plan is checked (exhaustive rows against the enumeration budget)
-    before any row is computed."""
+    whole plan is checked (each block size against 1..n-1, exhaustive rows
+    against the enumeration budget) before any row is computed."""
     entropies, backend = entropy_engine(sv)
     rows = []
     for m, mode in plan:

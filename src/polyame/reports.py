@@ -2,12 +2,12 @@
 against the embedded expected values.
 
 Statuses: "pass" (diffs empty), "finding" (the recomputation disagrees with a
-reference value, or a reference value could not be witnessed within budget;
-the computed evidence is attached), "fail" (an internal consistency check
-broke, which would point at a bug rather than at the reference).
+reference value, or a reference value is attained by no block; the computed
+evidence is attached), "fail" (an internal consistency check broke, which
+would point at a bug rather than at the reference).
 
-Sampled rows use pre-registered seeds (seed = m, extension rounds offset by
-10000) so reruns are bit-identical; timestamps live only in metadata.
+Every table enumerates what it checks (no sampling), so reruns are
+bit-identical; timestamps live only in metadata.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .entropy import (
     SweepRow,
     entropy_engine,
     exhaustive_partitions,
-    sample_partitions,
-    structured_partitions,
     verify_ame,
 )
 from .polytope import face_parity_matrix, platonic, table3
@@ -51,10 +49,6 @@ TABLE_IDS = (
     "rs12_11",
     "hovering",
 )
-
-SAMPLES_PER_M = 2000
-WITNESS_BUDGET = 10_000
-
 
 @dataclass
 class PaperTableResult:
@@ -128,24 +122,13 @@ def reproduce_ame62_eq8() -> PaperTableResult:
     )
 
 
-def _row(entropies, backend, n, m, mode, target, structured_pt=None):
-    """One table row: exhaustive or seeded-sample entropies from
-    `entropies` (a list of bipartitions to their entropies), extending the
-    sample until every reference value is witnessed or the witness budget
-    is spent. Returns the row and its diffs: each value outside `target`
-    and each non-integer entropy, with its witness, then each unwitnessed
-    value of `target`."""
-    if mode == "exhaustive":
-        row = SweepRow(m, mode, backend=backend).fold(entropies, exhaustive_partitions(n, m))
-    else:
-        bps = sample_partitions(n, m, SAMPLES_PER_M, seed=m)
-        if structured_pt is not None:
-            bps.extend(structured_partitions(structured_pt, m))
-        row = SweepRow(m, mode, m, backend).fold(entropies, bps)
-        round_no = 1
-        while set(target) - set(row.witnesses) and row.examined < WITNESS_BUDGET:
-            row.fold(entropies, sample_partitions(n, m, 1000, seed=10_000 * round_no + m))
-            round_no += 1
+def _row(entropies, backend, n, m, target):
+    """One exhaustive table row: the entropies of every m-block of n sites,
+    from `entropies` (a list of bipartitions to their entropies). Returns
+    the row and its diffs: each value outside `target` and each non-integer
+    entropy, with its first witness, then each unwitnessed value of
+    `target`."""
+    row = SweepRow(m, "exhaustive", backend=backend).fold(entropies, exhaustive_partitions(n, m))
     diffs = []
     ints = {}
     for v, sites in row.witnesses.items():
@@ -159,7 +142,7 @@ def _row(entropies, backend, n, m, mode, target, structured_pt=None):
         diffs.append({"m": m, "unwitnessed_reference_value": value})
     return {
         "m": m,
-        "mode": mode,
+        "mode": row.mode,
         "seed": row.seed,
         "examined": row.examined,
         "values": sorted(ints),
@@ -169,14 +152,15 @@ def _row(entropies, backend, n, m, mode, target, structured_pt=None):
 
 
 def reproduce_table2() -> PaperTableResult:
-    """Entropy profiles of both dodecahedron states.
+    """Entropy profiles of both dodecahedron states, every block of every
+    size m = 1..10, so each deviation from the reference rows is certain
+    and each value's witness is its first block in `combinations` order.
 
     The tabulated-tensor state is recognised once and analyzed with the
-    entropy engine (its stabilizer form, else dense spectra): exhaustively
-    for m <= 6 (within the enumeration budget, so deviations there are
-    certain, not sampling luck), sampled plus geometry-structured blocks for
-    m >= 7. The cyclically invariant state equals a parity-check code state,
-    so its row uses the exact rank formula, exhaustively for every m.
+    entropy engine (its stabilizer form, else dense spectra); the
+    cyclically invariant state equals a parity-check code state and uses
+    the exact rank formula. Rows of at least 2^20 / 20 cuts (m >= 7) are
+    read from the engine's subset-count table, smaller rows rank each cut.
     """
     diffs: list = []
     details: dict = {}
@@ -189,15 +173,11 @@ def reproduce_table2() -> PaperTableResult:
         entropies, backend = entropy_engine(state)
         rows = []
         for m in range(1, 11):
-            sampled = state_id == "d1" and m >= 7
-            mode = "sampled" if sampled else "exhaustive"
-            row, row_diffs = _row(
-                entropies, backend, state.n, m, mode, targets[m], pt if sampled else None
-            )
+            row, row_diffs = _row(entropies, backend, state.n, m, targets[m])
             rows.append(row)
             diffs.extend(row_diffs)
         details[state_id] = {"state_id": state_id, "rows": rows}
-    details.update(integer_tolerance=INTEGER_TOL, samples_per_m=SAMPLES_PER_M)
+    details["integer_tolerance"] = INTEGER_TOL
     return _result("table2", diffs, details)
 
 

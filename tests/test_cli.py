@@ -10,7 +10,7 @@ from polyame.cli import main
 from polyame.contraction import build_d2
 from polyame.entropy import Bipartition, entropy
 from polyame.stateio import read_state, write_state
-from polyame.states import ghz, normalized
+from polyame.states import ame62, ghz, normalized
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,19 @@ def test_analyze_config_errors(runner, d2_file, tmp_path):
     plan.write_text(json.dumps([{"m": 3, "mode": "sampled", "count": 5}]))
     res = runner.invoke(main, ["analyze", "--state", d2_file, "--plan", str(plan)])
     assert res.exit_code == 2  # sampled plan row without a seed
+    for bad_m in ("0", "20", "30"):
+        res = runner.invoke(main, ["analyze", "--state", d2_file, "--m", bad_m])
+        assert res.exit_code == 2 and "block size" in res.output
+    six_file = tmp_path / "ame62.bin"
+    write_state(six_file, ame62())
+    for row in (
+        {"m": 30, "mode": "sampled", "count": 5, "seed": 1},
+        {"m": 6, "mode": "exhaustive"},
+        {"m": 30, "mode": "structured"},
+    ):
+        plan.write_text(json.dumps([row]))
+        res = runner.invoke(main, ["analyze", "--state", str(six_file), "--plan", str(plan)])
+        assert res.exit_code == 2 and "block size" in res.output
 
 
 def test_code_rs_report(runner, tmp_path):

@@ -133,6 +133,12 @@ def test_sample_partitions_deterministic():
     assert [x.a_sites for x in c] != [x.a_sites for x in a]
     # count is capped by the number of distinct subsets
     assert len(sample_partitions(5, 2, 100, seed=1)) == comb(5, 2)
+    # a block size outside 1..n-1 raises instead of giving no blocks
+    for n, m in [(20, 25), (20, 20), (20, 0), (6, -1)]:
+        with pytest.raises(InvalidCut, match="block size"):
+            sample_partitions(n, m, 5, seed=1)
+        with pytest.raises(InvalidCut, match="block size"):
+            exhaustive_partitions(n, m)
 
 
 def test_structured_partitions():
@@ -145,6 +151,8 @@ def test_structured_partitions():
     assert sum(1 for b in blocks if b.m == 8) == 30  # edge neighborhoods
     assert [b.m for b in structured_partitions(pt, m=8)] == [8] * 30
     assert structured_partitions(pt, m=7) == []
+    with pytest.raises(InvalidCut, match="block size"):
+        structured_partitions(pt, m=30)
     # tetrahedron: every face block is size 3, no opposite pairs,
     # edge neighborhoods cover all 4 vertices so they are dropped
     assert {b.m for b in structured_partitions(platonic("tetrahedron"))} == {3}

@@ -1,15 +1,17 @@
-"""Reproduction bundles for the fast reference tables; determinism of the
-emitted JSON."""
+"""Reproduction bundles for the reference tables (table2 end to end is
+`slow`); determinism of the emitted JSON."""
 
 import json
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from polyame import reports
-from polyame.entropy import sample_partitions, structured_partitions
-from polyame.polytope import platonic
+from polyame.contraction import build_d1
+from polyame.entropy import entropy_engine
+from polyame.reference import REFERENCE_D1_ENTROPY_SETS
 from polyame.reports import (
-    SAMPLES_PER_M,
     PaperTableResult,
     _result,
     _row,
@@ -17,6 +19,7 @@ from polyame.reports import (
     reproduce_ame52_eq4,
     reproduce_ame62_eq8,
     reproduce_table1,
+    reproduce_table2,
     reproduce_table3,
     results_to_json,
 )
@@ -77,50 +80,75 @@ def test_result_round_trips_to_dict():
 
 
 def test_row_folds_stub_entropies():
-    """A table row from a stub entropy function: a value within the integer
-    tolerance counts as that integer, the first cut of each value is its
-    witness, and the seeded extension rounds run until the witness budget."""
-    n, m = 20, 5
+    """An exhaustive table row from a stub entropy function: every block is
+    examined once, in `combinations` order; a value within the integer
+    tolerance counts as that integer; the first cut of each value is its
+    witness; the diffs list the non-integer and outside-reference values,
+    then the unwitnessed reference values."""
+    n, m = 8, 3
+    special = {0: 3.0 + 5e-10, 3: 2.5, 7: 4.0, 9: 4.0 - 5e-10, 12: 2.5, 20: 2.75}
     calls = []
 
     def stub(bps):
         calls.append([bp.a_sites for bp in bps])
-        vals = [3.0] * len(bps)
-        if len(calls) == 1:
-            vals[1] = 3.0 + 5e-10
-            vals[3] = 2.5
-            vals[7] = 4.0
-        elif len(calls) == 3:
-            vals[5] = 7.0
-        return vals
+        return [special.get(i, 3.0) for i in range(len(bps))]
 
-    pt = platonic("dodecahedron")
-    row, diffs = _row(stub, "stub", n, m, "sampled", {3, 7, 9}, structured_pt=pt)
-    first = sample_partitions(n, m, SAMPLES_PER_M, seed=m) + structured_partitions(pt, m)
-    assert calls[0] == [bp.a_sites for bp in first]
-    # 9 is never seen, so rounds 1..8 (seed 10000 * round + m) run until the
-    # 10,000-cut budget is spent: 2,012 + 8 * 1,000 cuts
-    assert len(calls) == 9
-    for round_no, cuts in enumerate(calls[1:], start=1):
-        more = sample_partitions(n, m, 1000, seed=10_000 * round_no + m)
-        assert cuts == [bp.a_sites for bp in more]
-    assert row["examined"] == 10_012 and row["seed"] == m and row["mode"] == "sampled"
-    assert row["backend"] == "stub" and row["m"] == m
-    assert json.dumps(row["values"]) == "[3, 4, 7]"
-    assert row["witnesses"] == {
-        "3": list(calls[0][0]), "4": list(calls[0][7]), "7": list(calls[2][5]),
+    row, diffs = _row(stub, "stub", n, m, {3, 7, 9})
+    assert calls == [list(combinations(range(1, n + 1), m))]
+    cuts = calls[0]
+    assert row == {
+        "m": m, "mode": "exhaustive", "seed": None, "examined": comb(n, m),
+        "values": [3, 4], "witnesses": {"3": list(cuts[0]), "4": list(cuts[7])},
+        "backend": "stub",
     }
+    assert json.dumps(row["values"]) == "[3, 4]"
     assert diffs == [
-        {"m": m, "non_integer_entropy": 2.5, "sites": list(calls[0][3])},
-        {"m": m, "value_outside_reference": 4, "sites": list(calls[0][7])},
+        {"m": m, "non_integer_entropy": 2.5, "sites": list(cuts[3])},
+        {"m": m, "value_outside_reference": 4, "sites": list(cuts[7])},
+        {"m": m, "non_integer_entropy": 2.75, "sites": list(cuts[20])},
+        {"m": m, "unwitnessed_reference_value": 7},
         {"m": m, "unwitnessed_reference_value": 9},
     ]
 
 
 def test_row_exhaustive_never_extends():
-    row, diffs = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, "exhaustive", {2, 5})
+    row, diffs = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, {2, 5})
     assert row["examined"] == 15 and row["seed"] is None and row["values"] == [2]
     assert diffs == [{"m": 2, "unwitnessed_reference_value": 5}]
+
+
+def test_row_finds_d1_m8_blocks_of_entropy_6():
+    """The exhaustive d1 row m = 8, through the real engine, sees the block
+    of entropy 6 that the recorded row {7, 8} leaves out."""
+    row, diffs = _row(*entropy_engine(build_d1()), 20, 8, REFERENCE_D1_ENTROPY_SETS[8])
+    assert row["examined"] == 125_970 and row["values"] == [6, 7, 8]
+    witness = [1, 6, 7, 11, 14, 16, 17, 20]
+    assert row["witnesses"]["6"] == witness
+    assert diffs == [{"m": 8, "value_outside_reference": 6, "sites": witness}]
+
+
+@pytest.mark.slow
+def test_table2_enumerates_every_block():
+    r = reproduce_table2()
+    assert r.status == "finding"
+    for state_id in ("d1", "d2"):
+        rows = r.details[state_id]["rows"]
+        assert [row["m"] for row in rows] == list(range(1, 11))
+        for row in rows:
+            assert row["mode"] == "exhaustive" and row["seed"] is None
+            assert row["examined"] == comb(20, row["m"])
+    assert "samples_per_m" not in r.details
+    assert r.diffs == [
+        # d1
+        {"m": 6, "value_outside_reference": 5, "sites": [1, 3, 7, 8, 12, 17]},
+        {"m": 8, "value_outside_reference": 6, "sites": [1, 6, 7, 11, 14, 16, 17, 20]},
+        # d2
+        {"m": 6, "value_outside_reference": 4, "sites": [1, 2, 9, 13, 16, 20]},
+        {"m": 7, "value_outside_reference": 5, "sites": [1, 2, 3, 4, 5, 6, 18]},
+        {"m": 8, "value_outside_reference": 5, "sites": [1, 2, 3, 9, 10, 14, 16, 17]},
+        {"m": 9, "value_outside_reference": 6, "sites": [1, 2, 3, 4, 5, 6, 7, 11, 18]},
+        {"m": 10, "value_outside_reference": 6, "sites": [1, 2, 3, 4, 5, 6, 7, 8, 11, 12]},
+    ]
 
 
 def test_hovering_folds_stub_entropies(monkeypatch):
