@@ -7,9 +7,10 @@ generator restricted to the two sides of the cut. It stays exact where dense
 vectors are infeasible. For p = 2 the state is the stabilizer state with
 check matrix [G | 0 ; 0 | H], H = nullspace(G), and `code_entropy` takes the
 one qubit formula S(A) = rank M_A - |A| of `check_entropy` instead: it agrees
-on every cut, as rank(H_A) = |A| - k + rank(G_B). `check_entropy_table` gives
-that formula's value on all 2^n cuts at once, from the number of elements of
-the rows' group supported inside each cut.
+on every cut, as rank(H_A) = |A| - k + rank(G_B); the n check rows are
+independent, so S(A) = S(B) and it ranks the smaller side's X and Z columns.
+`check_entropy_table` gives that formula's value on all 2^n cuts at once,
+from the number of elements of the rows' group supported inside each cut.
 
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
@@ -35,8 +36,23 @@ ENUM_BUDGET = 2**26
 AME_CHUNK = 4096
 
 
+class CheckMatrix:
+    """A qubit state's n x 2n 0/1 `check_bits` (X columns, then Z columns) as
+    2n-bit rows, X bits above Z, and as each site's X and Z columns of n bits,
+    the first column or row the top bit (the basis index convention)."""
+
+    @cached_property
+    def check_rows(self) -> list[int]:
+        return pack_rows(self.check_bits)
+
+    @cached_property
+    def check_columns(self) -> list[tuple[int, int]]:
+        cols = pack_rows(self.check_bits.T)
+        return list(zip(cols[: len(cols) // 2], cols[len(cols) // 2 :]))
+
+
 @dataclass(frozen=True)
-class LinearCodeState:
+class LinearCodeState(CheckMatrix):
     p: int
     n: int
     gen: GfMatrix
@@ -55,11 +71,10 @@ class LinearCodeState:
         return self.gen.rows
 
     @cached_property
-    def check_rows(self) -> list[int]:
-        """Rows of the check matrix [G | 0 ; 0 | H], H = nullspace(G), as
-        2n-bit ints, X bits above Z bits, site 0 the highest bit of each half
-        (the basis index convention); p = 2 only."""
-        return [r << self.n for r in pack_rows(self.gen.a)] + pack_rows(nullspace(self.gen).a)
+    def check_bits(self) -> np.ndarray:
+        """[G | 0 ; 0 | H], H = nullspace(G); p = 2 only."""
+        g, h = self.gen.a, nullspace(self.gen).a
+        return np.block([[g, 0 * g], [0 * h, h]]).astype(np.uint8)
 
     @cached_property
     def columns(self) -> tuple:
@@ -165,22 +180,33 @@ def min_hamming_distance(cs: LinearCodeState) -> int:
 
 
 def cut_mask(n: int, a) -> int:
-    """The 0-based cut sites `a` as an n-bit mask, site 0 the highest bit."""
-    mask = 0
+    """Distinct 0-based cut sites `a` as an n-bit mask, site 0 the top bit."""
+    mask = count = 0
     for j in a:
         if not 0 <= j < n:
             raise InvalidCut(f"cut site {j} out of range 0..{n - 1}")
         mask |= 1 << (n - 1 - j)
+        count += 1
+    if mask.bit_count() != count:
+        raise InvalidCut(f"cut repeats a site: {count} sites, {mask.bit_count()} distinct")
     return mask
 
 
-def check_entropy(rows: list[int], n: int, in_a: int) -> int:
-    """Entropy in bits of the n-qubit stabilizer state with check rows `rows`
-    (2n-bit ints, X bits above Z bits) across the cut with site mask `in_a`:
-    the rank of the rows on A's X and Z bits, minus |A|."""
+def check_entropy(columns: list[tuple[int, int]], n: int, in_a: int) -> int:
+    """Entropy in bits across the cut with site mask `in_a` of the n-qubit
+    state with `check_columns` `columns`: rank M_A - |A|, taken on the smaller
+    side, since n independent check rows make the state pure: S(A) = S(B)."""
+    if not 0 <= in_a < 1 << n:
+        raise InvalidCut(f"cut mask {in_a} is not a mask of {n} sites")
     size = in_a.bit_count()
-    mask = in_a << n | in_a
-    return rank2([r & mask for r in rows], min(n, 2 * size)) - size
+    if 2 * size > n:
+        in_a, size = in_a ^ (1 << n) - 1, n - size
+    picked = []
+    while in_a:
+        top = in_a.bit_length()
+        in_a ^= 1 << top - 1
+        picked += columns[n - top]
+    return rank2(picked, 2 * size) - size
 
 
 def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
@@ -210,11 +236,11 @@ def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
 
 def code_entropy(cs: LinearCodeState, a) -> int:
     """Entanglement entropy of the code state across the cut (a | complement),
-    in dits: rank(G_A) + rank(G_B) - k, and `check_entropy` of the check rows
-    for p = 2. Multiply by log2(p) for bits."""
+    in dits: rank(G_A) + rank(G_B) - k, and `check_entropy` of the check
+    columns for p = 2. Multiply by log2(p) for bits."""
     in_a = cut_mask(cs.n, a)
     if cs.p == 2:
-        return check_entropy(cs.check_rows, cs.n, in_a)
+        return check_entropy(cs.check_columns, cs.n, in_a)
     bit = [in_a >> (cs.n - 1 - j) & 1 for j in range(cs.n)]
     side_a = [c for c, b in zip(cs.columns, bit) if b]
     side_b = [c for c, b in zip(cs.columns, bit) if not b]

@@ -17,10 +17,10 @@ entropies are integers (bits), read off its n x 2n check matrix
 with M_A the X and Z columns of the sites in A. X(g_i) Z(z_i) and Z(h)
 stabilise the state when z_i . g_j = beta_ij, beta(u, v) = Q(u+v) + Q(u) +
 Q(v) + q0 being Q's alternating bilinear form, and h runs over a basis of
-the dual code H = nullspace(G). The rank is `codes.check_entropy` of M's rows
-as 2n-bit ints (X bits above Z bits), each ANDed with A's mask. The G and H
-rows with Z = 0 are the code state's own check rows, which `code_entropy`
-ranks the same way for p = 2; beta = 0 gives that code state back.
+the dual code H = nullspace(G). `codes.check_entropy` ranks the X and Z
+columns of the smaller side's sites: the n rows are independent, so the state
+is pure and S(A) = S(B). With Z = 0, M is the code state's own check matrix,
+which `code_entropy` ranks the same way for p = 2 (beta = 0 gives that state).
 
 The group the rows generate has 2^n elements, and S(A) = |A| - log2 N(A)
 with N(A) the number supported inside A; `codes.check_entropy_table` reads
@@ -41,9 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import LinearCodeState, check_entropy, cut_mask
+from .codes import CheckMatrix, LinearCodeState, check_entropy, cut_mask
 from .errors import InvalidCode
-from .gf import GfMatrix, pack_rows, rref
+from .gf import GfMatrix, rref
 from .states import StateVector
 
 # Largest Euclidean distance from the ideal vector at which a dense vector
@@ -57,7 +57,7 @@ DISTANCE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
-class StabilizerState:
+class StabilizerState(CheckMatrix):
     """Amplitude 2^(-k/2) (-1)^Q(u) on the basis state x0 + uG, 0 elsewhere.
 
     `shift` is x0 as a basis index (site 1 most significant); `q` is the
@@ -83,19 +83,17 @@ class StabilizerState:
             raise InvalidCode(f"constant term q0 = {self.q0} is not 0 or 1")
 
     @cached_property
-    def check_rows(self) -> list[int]:
-        """Rows of the check matrix [G | Z ; 0 | H] as 2n-bit ints: the code's
-        check rows with Z added to the G rows. With E G the reduced form of G
-        and p_l its pivots, G P E = I for P the pivot selector, so
-        Z = beta E^T P^T."""
+    def check_bits(self) -> np.ndarray:
+        """[G | Z ; 0 | H]: the code's `check_bits` with Z in the G rows.
+        With E G the reduced form of G and p_l its pivots, G P E = I for P
+        the pivot selector, so Z = beta E^T P^T."""
         k, n = self.code.k, self.code.n
         q = np.asarray(self.q, dtype=np.int64)
         beta = np.triu(q, 1) + np.triu(q, 1).T
         red, pivots = rref(GfMatrix(np.hstack([self.code.gen.a, np.eye(k, dtype=np.int64)]), 2))
-        z = np.zeros((k, n), dtype=np.int64)
-        z[:, pivots] = beta @ red.a[:, n:].T % 2
-        rows = self.code.check_rows
-        return [x | zx for x, zx in zip(rows, pack_rows(z))] + rows[k:]
+        bits = self.code.check_bits.copy()
+        bits[:k, n:][:, pivots] = beta @ red.a[:, n:].T % 2
+        return bits
 
     def amplitudes(self) -> np.ndarray:
         """The dense 2^n vector. Points are built by doubling, like the signs
@@ -184,9 +182,9 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
 
 def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
     """Entropy in bits across the cut (a_sites | complement), a_sites
-    0-based like `code_entropy`: `check_entropy` of the check rows."""
+    0-based like `code_entropy`: `check_entropy` of the check columns."""
     n = st.code.n
-    return check_entropy(st.check_rows, n, cut_mask(n, a_sites))
+    return check_entropy(st.check_columns, n, cut_mask(n, a_sites))
 
 
 def _distance2(amps: np.ndarray, w: Optional[np.ndarray], c: float) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyame import codes
 from polyame.codes import (
     LinearCodeState,
+    check_entropy,
     code_entropy,
     codeword_blocks,
     codeword_census,
@@ -204,10 +205,31 @@ def test_code_entropy_reads_its_cut_once():
 
 
 def test_code_entropy_rejects_out_of_range_sites():
-    cs = rs_code_state(3)
-    for cut in ([4], [0, -1], [1, 7]):
+    """Sites outside 0..n-1 and repeated sites, for odd p and for p = 2, and
+    masks outside 0..2^n - 1 of the per-cut rank."""
+    d2 = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
+    for cs in (rs_code_state(3), d2):
+        for cut in ([cs.n], [0, -1], [1, cs.n + 3], [0, 0], [2, 1, 2]):
+            with pytest.raises(InvalidCut):
+                code_entropy(cs, cut)
+    for mask in (1 << d2.n, -1, -(1 << d2.n)):
         with pytest.raises(InvalidCut):
-            code_entropy(cs, cut)
+            check_entropy(d2.check_columns, d2.n, mask)
+
+
+def test_check_columns_are_built_on_first_use():
+    """A code state builds no check matrix until its first p = 2 entropy,
+    which keeps each site's X and Z columns: the check rows' bits, read
+    down."""
+    cs = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
+    assert not {"check_bits", "check_rows", "check_columns"} & cs.__dict__.keys()
+    code_entropy(cs, [0, 1])
+    assert "check_columns" in cs.__dict__
+    n, rows = cs.n, cs.check_rows
+    assert len(cs.check_columns) == n
+    for j, (x, z) in enumerate(cs.check_columns):
+        assert [x >> (n - 1 - i) & 1 for i in range(n)] == [r >> (2 * n - 1 - j) & 1 for r in rows]
+        assert [z >> (n - 1 - i) & 1 for i in range(n)] == [r >> (n - 1 - j) & 1 for r in rows]
 
 
 def test_parity_code_of_full_rank_checks():

@@ -14,13 +14,14 @@ SCRIPT = textwrap.dedent(
     import tempfile
 
     from polyame import contraction
-    from polyame.codes import codeword_census, rs_code_state
+    from polyame.codes import (
+        check_entropy, code_entropy, codeword_census, from_parity_checks, rs_code_state)
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
     from polyame.entropy import Bipartition
     from polyame.errors import (
         BadStateFile, InvalidContraction, InvalidCut, NoOppositeFace, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
-    from polyame.polytope import Polytope, opposite_face_pair, platonic
+    from polyame.polytope import Polytope, face_parity_matrix, opposite_face_pair, platonic
     from polyame.stabilizer import from_statevector
     from polyame.stateio import read_state
     from polyame.states import ame52_table1, ame62, normalized
@@ -45,6 +46,7 @@ SCRIPT = textwrap.dedent(
         (i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6) for i in range(6)))
 
     dodeca = platonic("dodecahedron")
+    d2 = from_parity_checks(face_parity_matrix(dodeca))
     hovering = AgreementContraction(dodeca, _assign_all(dodeca, ame62(), None), "hovering")
     cases = {
         "vertex_sites": (InvalidContraction, lambda: AgreementContraction(
@@ -54,6 +56,9 @@ SCRIPT = textwrap.dedent(
         "hover_position": (InvalidContraction, lambda: contract(hovering, hover_position=9)),
         "face_order": (InvalidContraction, lambda: contract(hovering, face_order=[0] * 12)),
         "improper_cut": (InvalidCut, lambda: Bipartition(4, (1, 2, 3, 4))),
+        "repeated_site": (InvalidCut, lambda: code_entropy(d2, [0, 0])),
+        "mask_above_range": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, 1 << 20)),
+        "negative_mask": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, -1)),
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
