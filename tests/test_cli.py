@@ -161,6 +161,9 @@ def test_analyze_config_errors(runner, d2_file, tmp_path):
     for bad_m in ("0", "20", "30"):
         res = runner.invoke(main, ["analyze", "--state", d2_file, "--m", bad_m])
         assert res.exit_code == 2 and "block size" in res.output
+    for count in ("0", "-3"):  # an empty sample would print an empty row
+        res = runner.invoke(main, ["analyze", "--state", d2_file, "--m", "2", "--sample", count, "--seed", "1"])
+        assert res.exit_code == 2 and "sample count" in res.output
     six_file = tmp_path / "ame62.bin"
     write_state(six_file, ame62())
     for row in (

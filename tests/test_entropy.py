@@ -1,6 +1,7 @@
 """Entropy kernel, bipartition enumeration, and the AME verifier."""
 
 import importlib
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -8,18 +9,22 @@ import pytest
 
 from polyame.entropy import (
     Bipartition,
+    SweepRow,
     _spectrum_dense,
     _spectrum_sparse,
     entropy,
     entropy_engine,
     entropy_sweep,
+    exhaustive_masks,
     exhaustive_partitions,
+    mask_sites,
     sample_partitions,
     structured_partitions,
     verify_ame,
 )
-from polyame.codes import code_entropy, from_parity_checks
+from polyame.codes import LinearCodeState, code_entropy, from_parity_checks
 from polyame.errors import InvalidCut, TooLarge
+from polyame.gf import GfMatrix
 from polyame.polytope import face_parity_matrix, platonic
 from polyame.states import ame43, ame52_table1, ghz, normalized
 
@@ -103,6 +108,20 @@ def test_exhaustive_partitions():
     assert len({p.a_sites for p in parts}) == len(parts)
     with pytest.raises(TooLarge):
         list(exhaustive_partitions(20, 10, budget=1000))
+    # The mask form: the same blocks in `combinations` order, site 1 the top bit.
+    for n, m in [(6, 3), (7, 1), (7, 6), (20, 10)]:
+        masks = exhaustive_masks(n, m)
+        assert masks.dtype == np.int64 and len(masks) == comb(n, m)
+        assert [mask_sites(n, x) for x in masks.tolist()] == list(combinations(range(1, n + 1), m))
+        assert masks.tolist() == [sum(1 << (n - s) for s in c) for c in combinations(range(1, n + 1), m)]
+        assert (np.diff(masks) < 0).all()
+    with pytest.raises(TooLarge, match="exceeds exhaustive budget"):
+        exhaustive_masks(20, 10, budget=1000)
+    with pytest.raises(TooLarge, match="63 sites"):
+        exhaustive_masks(63, 1)
+    for n, m in [(20, 25), (20, 20), (20, 0), (6, -1)]:
+        with pytest.raises(InvalidCut, match="block size"):
+            exhaustive_masks(n, m)
 
 
 def test_sweep_checks_the_plan_before_any_row(monkeypatch):
@@ -110,9 +129,9 @@ def test_sweep_checks_the_plan_before_any_row(monkeypatch):
     ahead of it are computed."""
     calls = []
 
-    def stub(bps):
-        calls.append(bps)
-        return [1.0] * len(bps)
+    def stub(masks):
+        calls.append(masks)
+        return [1.0] * len(masks)
 
     # the package's `entropy` attribute is the function, so fetch the module
     module = importlib.import_module("polyame.entropy")
@@ -133,6 +152,10 @@ def test_sample_partitions_deterministic():
     assert [x.a_sites for x in c] != [x.a_sites for x in a]
     # count is capped by the number of distinct subsets
     assert len(sample_partitions(5, 2, 100, seed=1)) == comb(5, 2)
+    # a count below 1 raises instead of giving an empty row
+    for count in (0, -3):
+        with pytest.raises(InvalidCut, match="sample count"):
+            sample_partitions(6, 2, count, seed=1)
     # a block size outside 1..n-1 raises instead of giving no blocks
     for n, m in [(20, 25), (20, 20), (20, 0), (6, -1)]:
         with pytest.raises(InvalidCut, match="block size"):
@@ -175,11 +198,41 @@ def test_entropy_sweep_modes():
         entropy_sweep(sv, [(1, ("bogus",))])
 
 
+def test_fold_witnesses_are_first_in_the_order_given():
+    """Masks in no sorted order: each value's witness is its first mask in
+    that order, non-integers are listed in order, and a value within the
+    integer tolerance counts as the integer."""
+    masks = [0b00110, 0b10001, 0b01100, 0b00011, 0b11000, 0b01010]
+    values = [2.0, 1.0 + 5e-10, 2.5, 1.0, 0.75, 2.0]
+    row = SweepRow(2, "sampled").fold(lambda got: values, 5, masks)
+    assert row.examined == 6 and row.values == [0.75, 1.0, 2.0, 2.5]
+    assert row.witnesses == {2.0: (3, 4), 1.0: (1, 5), 2.5: (2, 3), 0.75: (1, 2)}
+    assert list(row.witnesses) == [2.0, 1.0, 2.5, 0.75]
+    assert row.non_integer == [2.5, 0.75]
+    # A second fold keeps the first witnesses and adds the new values.
+    row.fold(lambda got: [2.0, 3.0], 5, [0b11100, 0b00111])
+    assert row.examined == 8 and row.witnesses[2.0] == (3, 4) and row.witnesses[3.0] == (3, 4, 5)
+
+
 def test_engine_takes_code_states():
     code = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
     entropies, backend = entropy_engine(code)
     assert backend == "code-rank"
     bps = sample_partitions(20, 7, 20, seed=1)
-    assert entropies(bps) == [float(code_entropy(code, [s - 1 for s in bp.a_sites])) for bp in bps]
-    with pytest.raises(InvalidCut):
-        entropies([Bipartition(12, (1, 2))])
+    masks = [sum(1 << (20 - s) for s in bp.a_sites) for bp in bps]
+    got = entropies(masks)
+    assert got.dtype == np.float64
+    assert got.tolist() == [float(code_entropy(code, [s - 1 for s in bp.a_sites])) for bp in bps]
+    # A mask outside 1..2^n - 2 (empty, full, negative, too wide) raises:
+    # the table would read a negative mask from its end.
+    for bad in (0, (1 << 20) - 1, -1, -(1 << 20), 1 << 20):
+        with pytest.raises(InvalidCut, match="masks"):
+            entropies([1, bad])
+    with pytest.raises(InvalidCut, match="masks"):
+        entropies(np.full(1 << 16, -2, dtype=np.int64))  # a call that reads the table
+    # A cut of another site count, converted by the sweep, raises.
+    with pytest.raises(InvalidCut, match="12 sites applied to a 20-site state"):
+        entropy_sweep(code, [(3, ("structured", platonic("icosahedron")))])
+    wide = LinearCodeState(2, 63, GfMatrix([[1] * 63], 2))
+    with pytest.raises(TooLarge, match="63 sites"):
+        entropy_engine(wide)

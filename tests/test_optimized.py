@@ -15,9 +15,10 @@ SCRIPT = textwrap.dedent(
 
     from polyame import contraction
     from polyame.codes import (
-        check_entropy, code_entropy, codeword_census, from_parity_checks, rs_code_state)
+        LinearCodeState, check_entropy, code_entropy, codeword_census, from_parity_checks,
+        rs_code_state)
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
-    from polyame.entropy import Bipartition
+    from polyame.entropy import Bipartition, entropy_engine, entropy_sweep, sample_partitions
     from polyame.errors import (
         BadStateFile, InvalidContraction, InvalidCut, NoOppositeFace, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
@@ -59,6 +60,15 @@ SCRIPT = textwrap.dedent(
         "repeated_site": (InvalidCut, lambda: code_entropy(d2, [0, 0])),
         "mask_above_range": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, 1 << 20)),
         "negative_mask": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, -1)),
+        "engine_negative_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([3, -1])),
+        "engine_empty_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([0])),
+        "engine_full_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([(1 << 20) - 1])),
+        "engine_wide_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([1 << 20])),
+        "engine_mask_sites": (TooLarge, lambda: entropy_engine(
+            LinearCodeState(2, 63, GfMatrix([[1] * 63], 2)))),
+        "sweep_cut_sites": (InvalidCut, lambda: entropy_sweep(
+            d2, [(3, ("structured", platonic("icosahedron")))])),
+        "sample_count": (InvalidCut, lambda: sample_partitions(6, 2, 0, seed=1)),
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),

@@ -1,5 +1,5 @@
-"""Reproduction bundles for the reference tables (table2 end to end is
-`slow`); determinism of the emitted JSON."""
+"""Reproduction bundles for the reference tables, table2 end to end
+included; determinism of the emitted JSON."""
 
 import json
 from itertools import combinations
@@ -9,7 +9,7 @@ import pytest
 
 from polyame import reports
 from polyame.contraction import build_d1
-from polyame.entropy import entropy_engine
+from polyame.entropy import entropy_engine, mask_sites
 from polyame.reference import REFERENCE_D1_ENTROPY_SETS
 from polyame.reports import (
     PaperTableResult,
@@ -89,9 +89,9 @@ def test_row_folds_stub_entropies():
     special = {0: 3.0 + 5e-10, 3: 2.5, 7: 4.0, 9: 4.0 - 5e-10, 12: 2.5, 20: 2.75}
     calls = []
 
-    def stub(bps):
-        calls.append([bp.a_sites for bp in bps])
-        return [special.get(i, 3.0) for i in range(len(bps))]
+    def stub(masks):
+        calls.append([mask_sites(n, x) for x in masks.tolist()])
+        return [special.get(i, 3.0) for i in range(len(masks))]
 
     row, diffs = _row(stub, "stub", n, m, {3, 7, 9})
     assert calls == [list(combinations(range(1, n + 1), m))]
@@ -112,7 +112,7 @@ def test_row_folds_stub_entropies():
 
 
 def test_row_exhaustive_never_extends():
-    row, diffs = _row(lambda bps: [2.0] * len(bps), "stub", 6, 2, {2, 5})
+    row, diffs = _row(lambda masks: [2.0] * len(masks), "stub", 6, 2, {2, 5})
     assert row["examined"] == 15 and row["seed"] is None and row["values"] == [2]
     assert diffs == [{"m": 2, "unwitnessed_reference_value": 5}]
 
@@ -127,7 +127,6 @@ def test_row_finds_d1_m8_blocks_of_entropy_6():
     assert diffs == [{"m": 8, "value_outside_reference": 6, "sites": witness}]
 
 
-@pytest.mark.slow
 def test_table2_enumerates_every_block():
     r = reproduce_table2()
     assert r.status == "finding"
@@ -158,9 +157,9 @@ def test_hovering_folds_stub_entropies(monkeypatch):
     special = {3: 4.0 + 5e-10, 10: 7.0, 20: 4.5}
     cuts = []
 
-    def stub(bps):
-        cuts.extend(bp.a_sites for bp in bps)
-        return [special.get(i, 5.0) for i in range(len(bps))]
+    def stub(masks):
+        cuts.extend(mask_sites(12, x) for x in masks.tolist())
+        return [special.get(i, 5.0) for i in range(len(masks))]
 
     monkeypatch.setattr(reports, "build_hovering", lambda face_order=None: ghz(12))
     monkeypatch.setattr(reports, "entropy_engine", lambda sv: (stub, "stub"))
