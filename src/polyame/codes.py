@@ -12,6 +12,11 @@ independent, so S(A) = S(B) and it ranks the smaller side's X and Z columns.
 `check_entropy_table` gives that formula's value on all 2^n cuts at once,
 from the number of elements of the rows' group supported inside each cut.
 
+A code state with k = n/2 is AME iff the code is MDS (Helwig, Cui, Latorre,
+Riera & Lo, PRA 86, 052335 (2012)), that is iff every square submatrix of A
+in a generator [I | A] is nonsingular (MacWilliams & Sloane, The Theory of
+Error-Correcting Codes, ch. 11, Thm 8); `is_ame_code` reads one minor per cut.
+
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
 """
@@ -20,20 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
+from math import comb
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import InvalidCode, InvalidCut, NotPrime, TooLarge, UnsupportedPrime
-from .gf import GfMatrix, eliminate, is_prime, nullspace, pack_rows, rank, rank2
+from .gf import GfMatrix, eliminate, is_prime, nullspace, pack_rows, rank, rank2, rref
 from .states import DENSE_BUDGET, StateVector
 
 # Guard for codeword enumeration (p^k); dense vectors (p^n) share the
 # package-wide DENSE_BUDGET.
 ENUM_BUDGET = 2**26
-# Balanced cuts checked per vectorised elimination in is_ame_code.
-AME_CHUNK = 4096
+# Rows of one size's minors that is_ame_code expands at a time, so each
+# temporary holds AME_CHUNK x C(k, t) entries.
+AME_CHUNK = 64
 
 
 class CheckMatrix:
@@ -257,43 +264,51 @@ class AmeCodeResult:
         return self.ok
 
 
-def _nonsingular(m: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of an (N, k, k) stack over GF(p) are invertible, by
-    one forward elimination run on the whole stack, in place."""
-    count, k, _ = m.shape
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    every = np.arange(count)
-    ok = np.ones(count, dtype=bool)
-    for c in range(k):
-        nonzero = m[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        # A stack without a pivot here gets factor 0 and is left alone.
-        piv = c + nonzero.argmax(axis=1)
-        pivot_rows = m[every, piv]
-        m[every, piv] = m[:, c]
-        m[:, c] = pivot_rows
-        f = m[:, c + 1 :, c] * inv[m[:, c, c]][:, None] % p
-        m[:, c + 1 :, c:] = (m[:, c + 1 :, c:] - f[:, :, None] * m[:, None, c, c:]) % p
-    return ok
-
-
 def is_ame_code(cs: LinearCodeState) -> AmeCodeResult:
     """True iff every balanced cut carries maximal entropy, i.e. G restricted
-    to any n/2 columns has rank n/2. Requires n even and k = n/2. The witness
-    of a failure is the lexicographically first deficient cut."""
+    to any n/2 columns has rank n/2. Requires n even and k = n/2. If cut
+    (0, ..., k-1) has full rank, G row-reduces to [I | A], and cut S has full
+    rank iff the minor A[R, C] is nonzero: R = {0..k-1} - S, C = (S & {k..n-1})
+    - k. The C(k, t)^2 minors of size t, in `combinations` order, are one
+    Laplace step along the last column from those of size t - 1, `AME_CHUNK`
+    rows at a time. The witness of a failure is the lexicographically first
+    deficient cut: the largest cut mask, site 0 the top bit, of a zero minor."""
     if cs.n % 2 != 0:
         return AmeCodeResult(False, f"n = {cs.n} is odd")
-    half = cs.n // 2
-    if cs.k != half:
-        return AmeCodeResult(False, f"k = {cs.k} != n/2 = {half}")
-    gt = cs.gen.a.T
-    cuts = combinations(range(cs.n), half)
-    while batch := list(islice(cuts, AME_CHUNK)):
-        idx = np.array(batch, dtype=np.intp).reshape(len(batch), half)
-        ok = _nonsingular(gt[idx], cs.p)
-        if not ok.all():
-            return AmeCodeResult(False, "rank-deficient balanced cut", batch[int(ok.argmin())])
-    return AmeCodeResult(True)
+    k, p = cs.n // 2, cs.p
+    if cs.k != k:
+        return AmeCodeResult(False, f"k = {cs.k} != n/2 = {k}")
+    if comb(k, k // 2) ** 2 > DENSE_BUDGET:
+        raise TooLarge(f"{comb(k, k // 2)}^2 minors of one size exceed budget {DENSE_BUDGET}")
+    reduced, pivots = rref(cs.gen)
+    if pivots != list(range(k)):
+        return AmeCodeResult(False, "rank-deficient balanced cut", tuple(range(k)))
+    a = reduced.a[:, k:]
+    dtype = np.min_scalar_type(p - 1)
+    rank_of = np.zeros(1 << k, dtype=np.intp)
+    level = np.ones((1, 1), dtype=dtype)
+    worst = -1
+    for t in range(1, k + 1):
+        sets = np.array(list(combinations(range(k), t)), dtype=np.int64)
+        bits = 1 << (k - 1 - sets)
+        masks = bits.sum(axis=1)
+        rank_of[masks] = np.arange(len(masks))
+        drop = rank_of[masks[:, None] ^ bits]  # rank of each set less its i-th element
+        # A sum of t products holds no more than k (p - 1)^2 in magnitude.
+        last = a[:, sets[:, -1]].astype(np.min_scalar_type(-k * (p - 1) ** 2))
+        below = level[:, drop[:, -1]]
+        level = np.empty((len(masks), len(masks)), dtype=dtype)
+        for start in range(0, len(masks), AME_CHUNK):
+            rows = slice(start, start + AME_CHUNK)
+            det = sum((-1) ** (t - 1 - i) * last[sets[rows, i]] * below[drop[rows, i]]
+                      for i in range(t))
+            level[rows] = det = det % p
+            cuts = np.where(det == 0, (masks[rows, None] ^ (1 << k) - 1) << k | masks, -1)
+            worst = max(worst, int(cuts.max()))
+    if worst < 0:
+        return AmeCodeResult(True)
+    witness = tuple(j for j in range(cs.n) if worst >> (cs.n - 1 - j) & 1)
+    return AmeCodeResult(False, "rank-deficient balanced cut", witness)
 
 
 def dense_statevector(cs: LinearCodeState) -> StateVector:

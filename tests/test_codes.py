@@ -276,6 +276,12 @@ def test_is_ame_code_witness_is_first_deficient_cut(monkeypatch, chunk):
             11, 8, GfMatrix(np.hstack([np.eye(4, dtype=np.int64), LAST_CUT_SINGULAR]), 11)
         ),
         LinearCodeState(3, 4, GfMatrix([[1, 0, 0, 0], [0, 1, 0, 0]], 3)),
+        # 20 minors of size 3, more than one chunk of 7 rows
+        _rs_with_column(11, 9, {4: 3, 7: 5}),
+        # GF(2): [I | A] with three zero entries in A
+        LinearCodeState(
+            2, 6, GfMatrix([[1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]], 2)
+        ),
     ]
     positions = []
     for cs in cases:
@@ -285,7 +291,43 @@ def test_is_ame_code_witness_is_first_deficient_cut(monkeypatch, chunk):
         assert verdict.witness == first
         positions.append(list(combinations(range(cs.n), cs.n // 2)).index(first))
     assert positions[:3] == [0, positions[1], 69] and 0 < positions[1] < 69
+    assert positions[4] > 0 and positions[5] > 0
     assert is_ame_code(rs_code_state(7)).ok and _first_deficient_cut(rs_code_state(7)) is None
+    assert is_ame_code(LinearCodeState(2, 2, GfMatrix([[1, 1]], 2))).ok  # the Bell pair
+
+
+def test_is_ame_code_matches_first_deficient_cut():
+    """Seeded random generators over GF(p), k = 1..5, and RS(p) with one
+    column planted as a combination of others: the verdict and witness equal
+    the first deficient cut found by one rank per cut."""
+    rng = np.random.default_rng(19)
+    codes_seen = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 6):
+            for _ in range(10):
+                g = rng.integers(0, p, size=(k, 2 * k))
+                if rng.random() < 0.3:
+                    g[:, rng.integers(2 * k)] = 0
+                if rank(GfMatrix(g, p)) == k:
+                    codes_seen.append(LinearCodeState(p, 2 * k, GfMatrix(g, p)))
+        if p > 2:
+            for _ in range(4):
+                j, *others = rng.choice(p + 1, size=3, replace=False)
+                combo = {int(i): int(rng.integers(1, p)) for i in others[: rng.integers(1, 3)]}
+                codes_seen.append(_rs_with_column(p, int(j), combo))
+    verdicts = []
+    for cs in codes_seen:
+        verdict, first = is_ame_code(cs), _first_deficient_cut(cs)
+        assert (verdict.ok, verdict.witness) == (first is None, first), cs.gen
+        verdicts.append(verdict.ok)
+    assert len(verdicts) == 302 and sum(verdicts) == 44
+
+
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_larger_rs_codes_are_ame(p):
+    """n = 18, 20 and 24; n = 20 counts the dodecahedron's vertices and the
+    icosahedron's faces (Table 3)."""
+    assert is_ame_code(rs_code_state(p)).ok
 
 
 def _codewords_by_definition(cs):

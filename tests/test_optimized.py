@@ -16,7 +16,7 @@ SCRIPT = textwrap.dedent(
     from polyame import contraction
     from polyame.codes import (
         LinearCodeState, check_entropy, code_entropy, codeword_census, from_parity_checks,
-        rs_code_state)
+        is_ame_code, rs_code_state)
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
     from polyame.entropy import Bipartition, entropy_engine, entropy_sweep, sample_partitions
     from polyame.errors import (
@@ -72,6 +72,8 @@ SCRIPT = textwrap.dedent(
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
+        # k = 16: C(16, 8)^2 minors of size 8 exceed DENSE_BUDGET.
+        "ame_minor_budget": (TooLarge, lambda: is_ame_code(rs_code_state(31))),
         "contraction_budget": (TooLarge, over_budget),
         "opposite_face": (NoOppositeFace, lambda: opposite_face_pair(prism, 2)),
     }
