@@ -16,11 +16,17 @@ The int8 encoding stores the amplitudes as the smallest integer vector
 proportional to the state; decoding divides by the integer vector's norm.
 It is used only where that decoding gives back the amplitudes bit for bit
 (flat sign states and uniform code-state supports built the same way).
+The trial first tests the first nonzero amplitude alone, which rules out
+most float states (d1 among them) before any full-size pass; otherwise it
+rounds, range-checks and decodes one chunk at a time against the one norm
+the smallest amplitude allows, and stops at the first chunk that does not
+decode. A state with a NaN or infinite amplitude never decodes from int8.
 float64 is a verbatim dump. Either way a round trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -45,27 +51,47 @@ def _decode_int8(ints: np.ndarray) -> np.ndarray:
 
 def _as_int8_multiple(amps: np.ndarray):
     """Smallest int8 vector proportional to amps whose decoding gives back
-    amps bit for bit, or None. Works on INT8_CHUNK amplitudes at a time, with
-    no full-size float temporary, and stops at the first chunk that does not
-    decode. The integer vector's squared norm is summed exactly (its partial
-    sums stay far below 2^53), so the norm is `_decode_int8`'s."""
+    amps bit for bit, or None.
+
+    Decoding gives k / sqrt(S) with 1 <= |k| <= 127 and S the integer sum of
+    squares, S <= 127^2 * amps.size < 2^40, so every decodable nonzero
+    amplitude lies in (1 / (128 sqrt(size)), 1]. For a decodable amplitude a,
+    (k / a)^2 is within a few ulp of S, under 2^-10 absolute, so it rounds to
+    S. The first nonzero amplitude is therefore tried against the 127
+    candidates k / sqrt(round((k / a)^2)); if none gives back |a|, no int8
+    vector decodes to amps and no chunk is touched. NaN and infinities fail
+    the range test.
+
+    Otherwise the smallest nonzero magnitude `scale` must decode from +-1,
+    which fixes S as round(1 / scale^2) and the norm as its square root
+    (`_decode_int8`'s norm, whose sum of squares is exact below 2^53). Each
+    INT8_CHUNK amplitudes are rounded, range-checked (a NaN fails the
+    comparison) and decoded against that norm in one pass that stops at the
+    first chunk that does not decode; the rounded squares must sum to S."""
     chunks = [amps[i : i + INT8_CHUNK] for i in range(0, amps.size, INT8_CHUNK)]
-    scale = min(np.min(np.abs(c), where=c != 0, initial=np.inf) for c in chunks)
-    if scale == np.inf:
+    first = next((abs(float(c[np.argmax(c != 0)])) for c in chunks if c.any()), None)
+    floor = 1 / (128 * math.sqrt(amps.size))
+    if first is None or not floor < first <= 1:
         return None
+    if all(k / math.sqrt(round((k / first) ** 2)) != first for k in range(1, 128)):
+        return None
+    scale = min(float(np.min(np.abs(c), where=c != 0, initial=np.inf)) for c in chunks)
+    if not floor < scale <= 1:
+        return None
+    total = round(scale**-2)
+    norm = math.sqrt(total)
     ints = np.empty(amps.size, dtype=np.int8)
-    int_chunks = [ints[i : i + INT8_CHUNK] for i in range(0, amps.size, INT8_CHUNK)]
     square_sum = 0
-    for c, out in zip(chunks, int_chunks):
+    for i, c in zip(range(0, amps.size, INT8_CHUNK), chunks):
         rounded = np.rint(c / scale)
-        if np.abs(rounded).max() > 127:
+        if not np.abs(rounded).max() <= 127:
             return None
+        out = ints[i : i + INT8_CHUNK]
         out[:] = rounded
+        if not np.array_equal(out / norm, c):
+            return None
         square_sum += int(rounded @ rounded)
-    norm = np.sqrt(float(square_sum))
-    if all(np.array_equal(out / norm, c) for c, out in zip(chunks, int_chunks)):
-        return ints
-    return None
+    return ints if square_sum == total else None
 
 
 def write_state(path, sv: StateVector) -> str:
