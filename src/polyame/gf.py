@@ -149,15 +149,6 @@ def nullspace(m: GfMatrix) -> GfMatrix:
     return GfMatrix(basis, m.p)
 
 
-def submatrix_columns(m: GfMatrix, cols) -> GfMatrix:
-    """Column-selected copy; order preserved as given."""
-    idx = list(cols)
-    for c in idx:
-        if not 0 <= c < m.cols:
-            raise IndexError(f"column {c} out of range for {m.cols} columns")
-    return GfMatrix(m.a[:, idx] if idx else np.zeros((m.rows, 0), dtype=np.int64), m.p)
-
-
 def matmul(a: GfMatrix, b: GfMatrix) -> GfMatrix:
     """Exact product over GF(p)."""
     if a.p != b.p:

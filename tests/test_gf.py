@@ -19,7 +19,6 @@ from polyame.gf import (
     rank,
     rank2,
     rref,
-    submatrix_columns,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -99,15 +98,6 @@ def test_matmul_exact():
         matmul(GfMatrix([[1]], 3), GfMatrix([[1]], 5))
     with pytest.raises(ValueError):
         matmul(GfMatrix([[1, 2]], 3), GfMatrix([[1, 2]], 3))
-
-
-def test_submatrix_columns():
-    m = GfMatrix([[0, 1, 2], [3, 4, 5]], 7)
-    s = submatrix_columns(m, [2, 0])
-    assert s.a.tolist() == [[2, 0], [5, 3]]
-    assert submatrix_columns(m, []).cols == 0
-    with pytest.raises(IndexError):
-        submatrix_columns(m, [3])
 
 
 def test_rank_invariant_under_invertible_action():
