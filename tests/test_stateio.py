@@ -58,47 +58,43 @@ def test_d1_round_trip_bit_exact(tmp_path):
     assert np.array_equal(read_state(path).amps, sv.amps)
 
 
-def _ghz_with(n, at, value):
-    def make():
-        amps = ghz(n).amps.copy()
-        amps[at] = value
-        return StateVector(n, 2, amps)
-
-    return make
-
-
-ODD_AMPLITUDES = {
-    "ghz2-negative-zero": _ghz_with(2, 1, -0.0),
-    **{
-        f"ghz{n}-{value}-at-{at}": _ghz_with(n, at, value)
-        for n, at, value in [
-            (17, 0, np.nan),
-            (17, 5, np.nan),
-            (17, 70_000, np.nan),
-            (17, 0, np.inf),
-            (17, 70_000, -np.inf),
-            (2, 0, np.nan),
-            (2, 0, np.inf),
-            (2, 3, -np.inf),
-        ]
-    },
-}
+def _ghz2_negative_zero():
+    amps = ghz(2).amps.copy()
+    amps[1] = -0.0
+    return StateVector(2, 2, amps)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "make",
-    [build_d1, build_d2, build_hovering, *CATALOG.values(), *ODD_AMPLITUDES.values()],
-    ids=["d1", "d2", "hovering", *CATALOG, *ODD_AMPLITUDES],
+    [build_d1, build_d2, build_hovering, *CATALOG.values(), _ghz2_negative_zero],
+    ids=["d1", "d2", "hovering", *CATALOG, "ghz2-negative-zero"],
 )
 def test_round_trip_is_byte_exact(tmp_path, make):
     """Every state is written as float64 and read back byte for byte: d2's
-    516,096 amplitudes of -0.0 stay -0.0, and NaN and infinities are kept,
-    with no warning."""
+    516,096 amplitudes of -0.0 stay -0.0."""
     sv = make()
     path = tmp_path / "s.bin"
     assert write_state(path, sv) == "float64"
     assert read_state(path).amps.tobytes() == sv.amps.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "at, value",
+    [(0, np.nan), (5, np.nan), (70_000, np.nan), (0, np.inf), (70_000, -np.inf)],
+)
+def test_non_finite_amplitudes_write_float64(tmp_path, at, value):
+    """Non-finite amplitudes, near the start or far into the vector, are
+    written verbatim and read back byte for byte, with no warning."""
+    amps = ghz(17).amps.copy()
+    amps[at] = value
+    path = tmp_path / "s.bin"
+    assert write_state(path, StateVector(17, 2, amps)) == "float64"
+    assert read_state(path).amps.tobytes() == amps.tobytes()
+    small = np.array([value, 0.0, 0.0, 0.0])
+    assert write_state(path, StateVector(2, 2, small)) == "float64"
+    assert read_state(path).amps.tobytes() == small.tobytes()
 
 
 def _header(n, d, enc=1, version=1):
