@@ -19,6 +19,8 @@ Error-Correcting Codes, ch. 11, Thm 8); `is_ame_code` reads one minor per cut.
 
 Codewords are enumerated in blocks, each the transpose of an (n, rows) array
 in the smallest unsigned dtype that holds 2(p - 1): every column contiguous.
+A block is one row gather from a table of the low message digits' codewords
+shifted by every digit, and `codeword_census` weighs it in one reduction.
 """
 
 from __future__ import annotations
@@ -126,38 +128,46 @@ def _check_budget(what: str, p: int, e: int, budget: int) -> None:
 
 def codeword_blocks(cs: LinearCodeState, block: int = 1 << 16) -> Iterator[np.ndarray]:
     """All p^k codewords as blocks of at most `block` rows (at least one),
-    messages in lexicographic order. A block is the transpose of an (n, rows)
-    array, so each column is contiguous, in the smallest unsigned dtype that
-    holds 2(p - 1). The low message digits' codewords are tabulated once;
-    each block adds that table to the words of a few high-digit prefixes and
-    reduces each sum s mod p as min(s, s - p), by unsigned wraparound.
+    messages in lexicographic order. A block is a fresh transpose of an
+    (n, rows) array, so each column is contiguous, in the smallest unsigned
+    dtype that holds 2(p - 1), with every value below p.
+
+    The codewords of the `low` low message digits are tabulated once, then
+    shifted: row j p + h of `shifted` is site j's table row plus h mod p, each
+    sum s reduced as min(s, s - p) by unsigned wraparound. A block is one
+    gather of rows j p + head_j, head_j the site-j digit of a few high-digit
+    prefixes. `low` is the largest value below k with p^(low + 1) <= `block`,
+    so `shifted` holds at most n `block` entries. With low = 0 (p^2 > `block`,
+    or k <= 1) there is no table: the prefixes' words are the codewords.
     """
     _check_budget("codeword enumeration p^k", cs.p, cs.k, ENUM_BUDGET)
     p, k, n, g = cs.p, cs.k, cs.n, cs.gen.a
     dtype = np.min_scalar_type(2 * (p - 1))
     low = 0
-    while low < k and p ** (low + 1) <= block:
+    while low + 1 < k and p ** (low + 2) <= block:
         low += 1
 
-    def add_mod(heads, table, tmp=None):
-        # A fresh sum per call, as callers may keep the blocks; `tmp` holds
-        # s - p, so the one scratch buffer is reused across blocks.
+    def add_mod(heads, table):
         s = heads[:, :, None] + table[:, None, :]
-        if tmp is not None:
-            tmp = tmp[:, : s.shape[1]]
-        return np.minimum(s, np.subtract(s, dtype.type(p), out=tmp), out=s).reshape(n, -1)
+        return np.minimum(s, s - dtype.type(p), out=s)
 
-    table = np.zeros((n, 1), dtype=dtype)
-    for row in g[k - low :]:
-        table = add_mod(table, (np.outer(row, np.arange(p)) % p).astype(dtype))
+    if low:
+        table = np.zeros((n, 1), dtype=dtype)
+        for row in g[k - low :]:
+            table = add_mod(table, (np.outer(row, np.arange(p)) % p).astype(dtype)).reshape(n, -1)
+        digits = np.broadcast_to(np.arange(p, dtype=dtype), (n, p))
+        shifted = add_mod(digits, table).reshape(n * p, -1)
+        site_rows = p * np.arange(n, dtype=np.int64)[:, None]
     place = p ** np.arange(k - low - 1, -1, -1, dtype=np.int64)
     prefixes = p ** (k - low)
-    per = max(1, block // table.shape[1])
-    tmp = np.empty((n, min(per, prefixes), table.shape[1]), dtype=dtype)
+    per = max(1, block // p**low)
     for start in range(0, prefixes, per):
         idx = np.arange(start, min(start + per, prefixes), dtype=np.int64)
-        heads = ((idx[:, None] // place % p) @ g[: k - low] % p).T.astype(dtype, order="C")
-        yield add_mod(heads, table, tmp).T
+        heads = (idx[:, None] // place % p) @ g[: k - low] % p
+        if low:
+            yield shifted.take(site_rows + heads.T, axis=0).reshape(n, -1).T
+        else:
+            yield heads.astype(dtype, order="F")
 
 
 def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
@@ -169,14 +179,15 @@ def codewords(cs: LinearCodeState) -> Iterator[tuple[int, ...]]:
 def codeword_census(cs: LinearCodeState) -> tuple[int, int]:
     """Number of codewords enumerated and the minimum Hamming weight of the
     nonzero ones (n + 1 if there are none), in one pass over
-    `codeword_blocks`, with weights counted column by column."""
+    `codeword_blocks`, each block's weights in one reduction over its sites.
+    The zero word is skipped by position, as message 0 is the first word:
+    G has full row rank, so no other message gives it."""
     count, best = 0, cs.n + 1
+    dtype = np.min_scalar_type(best)  # holds every weight, whatever `best` falls to
     for blockarr in codeword_blocks(cs):
+        weights = np.add.reduce((blockarr.T != 0).view(np.uint8), axis=0, dtype=dtype)
+        best = int(weights[1 if count == 0 else 0 :].min(initial=best))
         count += len(blockarr)
-        weights = np.zeros(len(blockarr), dtype=np.min_scalar_type(best))
-        for col in blockarr.T:
-            weights += col != 0
-        best = int(weights[weights > 0].min(initial=best))
     return count, best
 
 

@@ -167,9 +167,22 @@ def _check_block_size(n: int, m: int, budget: Optional[int] = None) -> None:
         )
 
 
+def _unchecked_bipartition(n: int, sites: tuple[int, ...]) -> Bipartition:
+    """A Bipartition built without `__post_init__`, for sites already known
+    to be sorted, distinct and in 1..n, with 1 <= len(sites) <= n - 1."""
+    bp = object.__new__(Bipartition)
+    fields = bp.__dict__
+    fields["n"] = n
+    fields["a_sites"] = sites
+    return bp
+
+
 def exhaustive_partitions(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> Iterator[Bipartition]:
+    """Every m-block of n sites, in `combinations` order. The block size and
+    the budget are validated once, at the call; `combinations` then yields
+    sorted, distinct sites in 1..n, so no block is checked again."""
     _check_block_size(n, m, budget)
-    return (Bipartition(n, sites) for sites in combinations(range(1, n + 1), m))
+    return (_unchecked_bipartition(n, sites) for sites in combinations(range(1, n + 1), m))
 
 
 def exhaustive_masks(n: int, m: int, budget: int = EXHAUSTIVE_BUDGET) -> np.ndarray:

@@ -92,6 +92,14 @@ def test_codeword_census():
     assert codeword_census(rep) == (2, 3)
     point = from_parity_checks(GfMatrix([[1, 0], [0, 1]], 2))  # k = 0
     assert codeword_census(point) == (1, 3)
+    # Weights above 255 would wrap in a uint8 count: one block, and two whose
+    # first has minimum weight 2 and whose second has words of weight 257 up.
+    assert codeword_census(LinearCodeState(2, 300, GfMatrix([[1] * 300], 2))) == (2, 300)
+    g = np.zeros((17, 289), dtype=np.int64)
+    g[0, 32:] = 1
+    for i in range(16):
+        g[i + 1, 2 * i : 2 * i + 2] = 1
+    assert codeword_census(LinearCodeState(2, 289, GfMatrix(g, 2))) == (2**17, 2)
     for p in (3, 5, 7):
         cs = rs_code_state(p)
         assert codeword_census(cs) == (p**cs.k, min_hamming_distance(cs))
@@ -344,7 +352,8 @@ WIDE_CODES = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, 17, None])
+# RS(5) tabulates no low digit below a 25-row block and one from 25 rows up.
+@pytest.mark.parametrize("block", [1, 17, 24, 25, None])
 def test_codeword_blocks_match_definition(block):
     states = [
         rs_code_state(3),

@@ -108,6 +108,18 @@ def test_exhaustive_partitions():
     assert len({p.a_sites for p in parts}) == len(parts)
     with pytest.raises(TooLarge):
         list(exhaustive_partitions(20, 10, budget=1000))
+    # Built unchecked, the blocks equal those of the public constructor.
+    for n in range(2, 9):
+        for m in range(1, n):
+            parts = list(exhaustive_partitions(n, m))
+            public = [Bipartition(n, s) for s in combinations(range(1, n + 1), m)]
+            assert parts == public
+            assert [hash(p) for p in parts] == [hash(p) for p in public]
+            assert [p.complement() for p in parts] == [p.complement() for p in public]
+    # The block size is checked at the call, before any block is drawn.
+    for m in (0, 5):
+        with pytest.raises(InvalidCut, match="block size"):
+            exhaustive_partitions(5, m)
     # The mask form: the same blocks in `combinations` order, site 1 the top bit.
     for n, m in [(6, 3), (7, 1), (7, 6), (20, 10)]:
         masks = exhaustive_masks(n, m)

@@ -18,7 +18,8 @@ SCRIPT = textwrap.dedent(
         LinearCodeState, check_entropy, code_entropy, codeword_census, from_parity_checks,
         is_ame_code, rs_code_state)
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
-    from polyame.entropy import Bipartition, entropy_engine, entropy_sweep, sample_partitions
+    from polyame.entropy import (
+        Bipartition, entropy_engine, entropy_sweep, exhaustive_partitions, sample_partitions)
     from polyame.errors import (
         BadStateFile, InvalidContraction, InvalidCut, NoOppositeFace, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
@@ -69,6 +70,8 @@ SCRIPT = textwrap.dedent(
         "sweep_cut_sites": (InvalidCut, lambda: entropy_sweep(
             d2, [(3, ("structured", platonic("icosahedron")))])),
         "sample_count": (InvalidCut, lambda: sample_partitions(6, 2, 0, seed=1)),
+        # the one check on the blocks exhaustive_partitions builds
+        "exhaustive_block_size": (InvalidCut, lambda: exhaustive_partitions(5, 0)),
         "composite_modulus": (NotPrime, lambda: GfMatrix([[1, 0], [0, 1]], 6)),
         "state_file_header": (BadStateFile, bad_header),
         "enumeration_budget": (TooLarge, lambda: codeword_census(rs_code_state(17))),
