@@ -6,11 +6,15 @@ are exact integers in dits: S_A = rank(G_A) + rank(G_B) - k, with G_A, G_B the
 generator restricted to the two sides of the cut. It stays exact where dense
 vectors are infeasible. For p = 2 the state is the stabilizer state with
 check matrix [G | 0 ; 0 | H], H = nullspace(G), and `code_entropy` takes the
-one qubit formula S(A) = rank M_A - |A| of `check_entropy` instead: it agrees
-on every cut, as rank(H_A) = |A| - k + rank(G_B); the n check rows are
-independent, so S(A) = S(B) and it ranks the smaller side's X and Z columns.
-`check_entropy_table` gives that formula's value on all 2^n cuts at once,
-from the number of elements of the rows' group supported inside each cut.
+one qubit formula of `graph_entropy` instead. Every qubit stabilizer state is
+locally Clifford-equivalent to a graph state Gamma (Van den Nest, Dehaene &
+De Moor, PRA 69, 022316 (2004)), and S(A) = rank Gamma[A, B] (Hein, Eisert &
+Briegel, PRA 69, 062311 (2004)): |A| vectors of n bits per cut, against the
+2 min(|A|, |B|) site columns of rank M_A - |A|. `CheckMatrix.graph_rows`
+builds Gamma from G and Q's bilinear form. `check_entropy_table` gives every
+cut's entropy at once from the check rows instead, from the number of
+elements of their group supported inside each cut, so the table and the
+per-cut rank come from two representations.
 
 A code state with k = n/2 is AME iff the code is MDS (Helwig, Cui, Latorre,
 Riera & Lo, PRA 86, 052335 (2012)), that is iff every square submatrix of A
@@ -46,18 +50,33 @@ AME_CHUNK = 64
 
 
 class CheckMatrix:
-    """A qubit state's n x 2n 0/1 `check_bits` (X columns, then Z columns) as
-    2n-bit rows, X bits above Z, and as each site's X and Z columns of n bits,
-    the first column or row the top bit (the basis index convention)."""
+    """A qubit state sum_u (-1)^Q(u) |x0 + u G>, G of size k x n, in two
+    forms. `check_rows`: the n x 2n 0/1 `check_bits` (X columns, then Z
+    columns) as 2n-bit rows, X bits above Z. `graph_rows`: the adjacency
+    matrix of a graph state locally Clifford-equivalent to it, as n-bit rows,
+    site 0 the top bit. Subclasses give G and Q's bilinear form beta
+    (`form`)."""
 
     @cached_property
     def check_rows(self) -> list[int]:
         return pack_rows(self.check_bits)
 
     @cached_property
-    def check_columns(self) -> list[tuple[int, int]]:
-        cols = pack_rows(self.check_bits.T)
-        return list(zip(cols[: len(cols) // 2], cols[len(cols) // 2 :]))
+    def graph_rows(self) -> list[int]:
+        """Row-reduce [G | I] to [R | E], pivot sites I: u G = (u E^-1) R, so
+        the pivot sites carry v = u E^-1 and a non-pivot site r the parity
+        v . R[:, r]. A Hadamard on each non-pivot site makes that parity an
+        edge i-r wherever R[i, r] = 1, and Q(u) = Q(v E) puts the edges
+        E beta E^T among the pivot sites (zero diagonal, as beta's); the
+        rest is local Paulis. No edges join two non-pivot sites."""
+        g, beta = self.form
+        k, n = g.shape
+        red, pivots = rref(GfMatrix(np.hstack([g, np.eye(k, dtype=np.int64)]), 2))
+        e = red.a[:, n:]
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[pivots] = red.a[:, :n]
+        adj[np.ix_(pivots, pivots)] = e @ beta @ e.T % 2
+        return pack_rows(adj | adj.T)
 
 
 @dataclass(frozen=True)
@@ -84,6 +103,11 @@ class LinearCodeState(CheckMatrix):
         """[G | 0 ; 0 | H], H = nullspace(G); p = 2 only."""
         g, h = self.gen.a, nullspace(self.gen).a
         return np.block([[g, 0 * g], [0 * h, h]]).astype(np.uint8)
+
+    @property
+    def form(self) -> tuple[np.ndarray, np.ndarray]:
+        """G and beta = 0: every sign is +."""
+        return self.gen.a, np.zeros((self.k, self.k), dtype=np.int64)
 
     @cached_property
     def columns(self) -> tuple:
@@ -210,25 +234,26 @@ def cut_mask(n: int, a) -> int:
     return mask
 
 
-def check_entropy(columns: list[tuple[int, int]], n: int, in_a: int) -> int:
-    """Entropy in bits across the cut with site mask `in_a` of the n-qubit
-    state with `check_columns` `columns`: rank M_A - |A|, taken on the smaller
-    side, since n independent check rows make the state pure: S(A) = S(B)."""
-    if not 0 <= in_a < 1 << n:
-        raise InvalidCut(f"cut mask {in_a} is not a mask of {n} sites")
-    size = in_a.bit_count()
-    if 2 * size > n:
-        in_a, size = in_a ^ (1 << n) - 1, n - size
-    picked = []
-    while in_a:
-        top = in_a.bit_length()
-        in_a ^= 1 << top - 1
-        picked += columns[n - top]
-    return rank2(picked, 2 * size) - size
+def graph_entropy(rows: list[int], a) -> int:
+    """Entropy in bits across the cut (a | complement), a the distinct
+    0-based sites, of the state with `graph_rows` `rows`: the rank over GF(2)
+    of Gamma[A, B], the rows of A's sites masked to B's (Hein, Eisert &
+    Briegel, PRA 69, 062311 (2004))."""
+    n = len(rows)
+    in_a, picked = 0, []
+    for j in a:
+        if not 0 <= j < n:
+            raise InvalidCut(f"cut site {j} out of range 0..{n - 1}")
+        in_a |= 1 << (n - 1 - j)
+        picked.append(rows[j])
+    size = len(picked)
+    if in_a.bit_count() != size:
+        raise InvalidCut(f"cut repeats a site: {size} sites, {in_a.bit_count()} distinct")
+    return rank2(picked, min(size, n - size), in_a ^ (1 << n) - 1)
 
 
 def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
-    """`check_entropy` of every cut at once, as an int8 array indexed by the
+    """The entropy of every cut at once, as an int8 array indexed by the
     site mask: S(A) = |A| - log2 N(A), N(A) the number of elements of the
     group generated by the n check rows that are supported inside A
     (Fattal et al., quant-ph/0406168). The 2^n elements come from the rows
@@ -254,11 +279,11 @@ def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
 
 def code_entropy(cs: LinearCodeState, a) -> int:
     """Entanglement entropy of the code state across the cut (a | complement),
-    in dits: rank(G_A) + rank(G_B) - k, and `check_entropy` of the check
-    columns for p = 2. Multiply by log2(p) for bits."""
-    in_a = cut_mask(cs.n, a)
+    in dits: rank(G_A) + rank(G_B) - k, and `graph_entropy` for p = 2.
+    Multiply by log2(p) for bits."""
     if cs.p == 2:
-        return check_entropy(cs.check_columns, cs.n, in_a)
+        return graph_entropy(cs.graph_rows, a)
+    in_a = cut_mask(cs.n, a)
     bit = [in_a >> (cs.n - 1 - j) & 1 for j in range(cs.n)]
     side_a = [c for c, b in zip(cs.columns, bit) if b]
     side_b = [c for c, b in zip(cs.columns, bit) if not b]

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import stabilizer
-from .codes import LinearCodeState, check_entropy, check_entropy_table, code_entropy
+from .codes import LinearCodeState, check_entropy_table, code_entropy, graph_entropy
 from .errors import BadSpectrum, InvalidCut, TooLarge
 from .polytope import Polytope, opposite_face_pair
 from .states import StateVector
@@ -339,9 +339,9 @@ def entropy_engine(state) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
 
     A qubit state of at most TABLE_MAX_SITES sites answers a call of at
     least 2^n / n cuts from `check_entropy_table` of its check rows, built
-    on the first such call and kept; smaller calls rank each cut with
-    `check_entropy`. Both give the same integers. Only odd p and dense
-    spectra turn a mask into sites."""
+    on the first such call and kept; smaller calls rank each cut's smaller
+    side with `graph_entropy` of its graph rows. Both give the same
+    integers."""
     n = state.n
     if n > MASK_MAX_SITES:
         raise TooLarge(f"{n} sites do not fit a {MASK_MAX_SITES}-site cut mask")
@@ -355,7 +355,14 @@ def entropy_engine(state) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
 
     def per_cut(mask):
         if qubits is not None:
-            return check_entropy(qubits.check_columns, n, mask)
+            if 2 * mask.bit_count() > n:
+                mask ^= (1 << n) - 1
+            sites = []
+            while mask:
+                top = mask.bit_length()
+                mask ^= 1 << top - 1
+                sites.append(n - top)
+            return graph_entropy(qubits.graph_rows, sites)
         if backend == CODE_RANK:
             return code_entropy(state, [s - 1 for s in mask_sites(n, mask)])
         return entropy(state, Bipartition(n, mask_sites(n, mask)))

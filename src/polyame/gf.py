@@ -91,11 +91,13 @@ def eliminate(rows: list, p: int, ncols: int) -> list[int]:
     return pivots
 
 
-def rank2(vectors, limit: int) -> int:
-    """Rank over GF(2) of bit-packed vectors (Python ints), by reduction
-    against an XOR basis keyed by leading bit; stops once it reaches limit."""
+def rank2(vectors, limit: int, mask: int = -1) -> int:
+    """Rank over GF(2) of bit-packed vectors (Python ints), each ANDed with
+    `mask` (default every bit), by reduction against an XOR basis keyed by
+    leading bit; stops once it reaches limit."""
     basis: dict[int, int] = {}
     for v in vectors:
+        v &= mask
         while v:
             top = v.bit_length()
             b = basis.get(top)

@@ -17,14 +17,14 @@ entropies are integers (bits), read off its n x 2n check matrix
 with M_A the X and Z columns of the sites in A. X(g_i) Z(z_i) and Z(h)
 stabilise the state when z_i . g_j = beta_ij, beta(u, v) = Q(u+v) + Q(u) +
 Q(v) + q0 being Q's alternating bilinear form, and h runs over a basis of
-the dual code H = nullspace(G). `codes.check_entropy` ranks the X and Z
-columns of the smaller side's sites: the n rows are independent, so the state
-is pure and S(A) = S(B). With Z = 0, M is the code state's own check matrix,
-which `code_entropy` ranks the same way for p = 2 (beta = 0 gives that state).
+the dual code H = nullspace(G). The group the rows generate has 2^n
+elements, and S(A) = |A| - log2 N(A) with N(A) the number supported inside
+A; `codes.check_entropy_table` reads every cut at once that way.
 
-The group the rows generate has 2^n elements, and S(A) = |A| - log2 N(A)
-with N(A) the number supported inside A; `codes.check_entropy_table` reads
-every cut at once that way.
+A single cut takes the state's graph form instead (`CheckMatrix.graph_rows`,
+built from G and beta): S(A) = rank Gamma[A, B] over GF(2), which
+`codes.graph_entropy` ranks as |A| rows of n bits. With beta = 0 it is the
+code state's graph, which `code_entropy` ranks the same way for p = 2.
 
 `from_statevector` recognises such a state in a dense qubit vector. It reads
 (G, x0, Q) from the support and the signs, checks the support and the signs
@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import CheckMatrix, LinearCodeState, check_entropy, cut_mask
+from .codes import CheckMatrix, LinearCodeState, graph_entropy
 from .errors import InvalidCode
 from .gf import GfMatrix, rref
 from .states import StateVector
@@ -82,14 +82,19 @@ class StabilizerState(CheckMatrix):
         if self.q0 not in (0, 1):
             raise InvalidCode(f"constant term q0 = {self.q0} is not 0 or 1")
 
+    @property
+    def form(self) -> tuple[np.ndarray, np.ndarray]:
+        """G and Q's bilinear form beta: symmetric, zero diagonal."""
+        q = np.triu(np.asarray(self.q, dtype=np.int64), 1)
+        return self.code.gen.a, q + q.T
+
     @cached_property
     def check_bits(self) -> np.ndarray:
         """[G | Z ; 0 | H]: the code's `check_bits` with Z in the G rows.
         With E G the reduced form of G and p_l its pivots, G P E = I for P
         the pivot selector, so Z = beta E^T P^T."""
         k, n = self.code.k, self.code.n
-        q = np.asarray(self.q, dtype=np.int64)
-        beta = np.triu(q, 1) + np.triu(q, 1).T
+        beta = self.form[1]
         red, pivots = rref(GfMatrix(np.hstack([self.code.gen.a, np.eye(k, dtype=np.int64)]), 2))
         bits = self.code.check_bits.copy()
         bits[:k, n:][:, pivots] = beta @ red.a[:, n:].T % 2
@@ -182,9 +187,8 @@ def from_statevector(sv: StateVector) -> Optional[StabilizerState]:
 
 def stabilizer_entropy(st: StabilizerState, a_sites) -> int:
     """Entropy in bits across the cut (a_sites | complement), a_sites
-    0-based like `code_entropy`: `check_entropy` of the check columns."""
-    n = st.code.n
-    return check_entropy(st.check_columns, n, cut_mask(n, a_sites))
+    0-based like `code_entropy`: `graph_entropy` of the graph rows."""
+    return graph_entropy(st.graph_rows, a_sites)
 
 
 def _distance2(amps: np.ndarray, w: Optional[np.ndarray], c: float) -> float:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polyame import codes
 from polyame.codes import (
     LinearCodeState,
-    check_entropy,
     code_entropy,
     codeword_blocks,
     codeword_census,
@@ -22,9 +21,9 @@ from polyame.codes import (
     rs_code_state,
     rs_generator,
 )
-from polyame.entropy import Bipartition, entropy
+from polyame.entropy import Bipartition, entropy, entropy_engine
 from polyame.errors import InvalidCode, InvalidCut, NotPrime, TooLarge, UnsupportedPrime
-from polyame.gf import GfMatrix, rank
+from polyame.gf import GfMatrix, rank, rref
 from polyame.polytope import face_parity_matrix, platonic
 from polyame.reference import (
     REFERENCE_D2_CODE_K,
@@ -212,30 +211,34 @@ def test_code_entropy_reads_its_cut_once():
 
 def test_code_entropy_rejects_out_of_range_sites():
     """Sites outside 0..n-1 and repeated sites, for odd p and for p = 2, and
-    masks outside 0..2^n - 1 of the per-cut rank."""
+    masks outside 0..2^n - 1 of the engine's per-cut rank."""
     d2 = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
     for cs in (rs_code_state(3), d2):
         for cut in ([cs.n], [0, -1], [1, cs.n + 3], [0, 0], [2, 1, 2]):
             with pytest.raises(InvalidCut):
                 code_entropy(cs, cut)
+    entropies = entropy_engine(d2)[0]
     for mask in (1 << d2.n, -1, -(1 << d2.n)):
         with pytest.raises(InvalidCut):
-            check_entropy(d2.check_columns, d2.n, mask)
+            entropies([mask])
 
 
-def test_check_columns_are_built_on_first_use():
-    """A code state builds no check matrix until its first p = 2 entropy,
-    which keeps each site's X and Z columns: the check rows' bits, read
-    down."""
+def test_graph_rows_are_built_on_first_use():
+    """A code state builds no check matrix or graph until its first p = 2
+    entropy, which keeps the graph rows: a symmetric adjacency matrix with a
+    zero diagonal. With beta = 0 every edge joins a pivot site of G to a
+    non-pivot site."""
     cs = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
-    assert not {"check_bits", "check_rows", "check_columns"} & cs.__dict__.keys()
+    assert not {"check_bits", "check_rows", "graph_rows"} & cs.__dict__.keys()
     code_entropy(cs, [0, 1])
-    assert "check_columns" in cs.__dict__
-    n, rows = cs.n, cs.check_rows
-    assert len(cs.check_columns) == n
-    for j, (x, z) in enumerate(cs.check_columns):
-        assert [x >> (n - 1 - i) & 1 for i in range(n)] == [r >> (2 * n - 1 - j) & 1 for r in rows]
-        assert [z >> (n - 1 - i) & 1 for i in range(n)] == [r >> (n - 1 - j) & 1 for r in rows]
+    assert "graph_rows" in cs.__dict__ and "check_bits" not in cs.__dict__
+    n = cs.n
+    assert len(cs.graph_rows) == n
+    adj = np.array([[r >> (n - 1 - j) & 1 for j in range(n)] for r in cs.graph_rows])
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    pivot = np.isin(np.arange(n), rref(cs.gen)[1])
+    assert not adj[np.ix_(pivot, pivot)].any() and not adj[np.ix_(~pivot, ~pivot)].any()
+    assert adj[np.ix_(pivot, ~pivot)].any()
 
 
 def test_parity_code_of_full_rank_checks():

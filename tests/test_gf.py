@@ -156,3 +156,17 @@ def test_gf2_bit_packed_rank_matches_elimination():
         expected = len(eliminate(a.tolist(), 2, cols))
         assert rank(GfMatrix(a, 2)) == expected
         assert rank2(pack_rows(a.T), min(rows, cols)) == expected
+
+
+def test_rank2_mask_is_applied_to_every_vector():
+    """rank2(v, limit, mask) is the rank of the masked vectors, also when the
+    limit stops it early, for vectors wider than a machine word."""
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        width = int(rng.choice([5, 20, 70]))
+        vectors = [int(x) for x in rng.integers(0, 2, (int(rng.integers(0, 12)), width)) @ (
+            1 << np.arange(width, dtype=object))]
+        mask = int(rng.integers(0, 2, width) @ (1 << np.arange(width, dtype=object)))
+        limit = int(rng.integers(0, len(vectors) + 1))
+        assert rank2(vectors, limit, mask) == rank2([x & mask for x in vectors], limit)
+    assert rank2([0b1010, 0b0110], 2, mask=0b0011) == 1

@@ -15,7 +15,7 @@ SCRIPT = textwrap.dedent(
 
     from polyame import contraction
     from polyame.codes import (
-        LinearCodeState, check_entropy, code_entropy, codeword_census, from_parity_checks,
+        LinearCodeState, code_entropy, codeword_census, from_parity_checks, graph_entropy,
         is_ame_code, rs_code_state)
     from polyame.contraction import AgreementContraction, _assign_all, build_hovering, contract
     from polyame.entropy import (
@@ -59,8 +59,9 @@ SCRIPT = textwrap.dedent(
         "face_order": (InvalidContraction, lambda: contract(hovering, face_order=[0] * 12)),
         "improper_cut": (InvalidCut, lambda: Bipartition(4, (1, 2, 3, 4))),
         "repeated_site": (InvalidCut, lambda: code_entropy(d2, [0, 0])),
-        "mask_above_range": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, 1 << 20)),
-        "negative_mask": (InvalidCut, lambda: check_entropy(d2.check_columns, 20, -1)),
+        "graph_site_above_range": (InvalidCut, lambda: graph_entropy(d2.graph_rows, [20])),
+        "graph_negative_site": (InvalidCut, lambda: graph_entropy(d2.graph_rows, [3, -1])),
+        "graph_repeated_site": (InvalidCut, lambda: graph_entropy(d2.graph_rows, [3, 5, 3])),
         "engine_negative_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([3, -1])),
         "engine_empty_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([0])),
         "engine_full_mask": (InvalidCut, lambda: entropy_engine(d2)[0]([(1 << 20) - 1])),

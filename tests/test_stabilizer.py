@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from polyame import stabilizer
 from polyame.codes import (
     LinearCodeState,
-    check_entropy,
     check_entropy_table,
     code_entropy,
     cut_mask,
     dense_statevector,
     from_parity_checks,
+    graph_entropy,
 )
-from polyame.contraction import build_d1, build_d2, build_hovering
+from polyame.contraction import _oriented_cycle, build_d1, build_d2, build_hovering
 from polyame.entropy import (
     Bipartition,
     batch_entropies,
@@ -215,8 +215,8 @@ def _d2_code():
     ids=["hovering", "d1", "d2-code"],
 )
 def test_table_matches_per_cut_rank(state):
-    """The subset-count table against the per-cut rank of the smaller side's
-    site columns, on every cut of at most 6 or at least n - 6 sites (every
+    """The subset-count table of the check rows against the per-cut rank of
+    the graph rows, on every cut of at most 6 or at least n - 6 sites (every
     cut of the 12-site state) and on 2,000 cuts, drawn with seed 16, of
     each block size in between."""
     qubits = state()
@@ -230,7 +230,37 @@ def test_table_matches_per_cut_rank(state):
             cuts = combinations(range(n), m)
         for a in cuts:
             mask = cut_mask(n, a)
-            assert table[mask] == check_entropy(qubits.check_columns, n, mask), a
+            assert table[mask] == graph_entropy(qubits.graph_rows, a), a
+
+
+def _site_beta(state):
+    """Q's bilinear form read in site order, for a G with one 1 per row."""
+    g, beta = state.form
+    order = g.argmax(axis=1)
+    assert g.sum() == len(g) == len(set(order.tolist()))
+    out = np.zeros((state.code.n,) * 2, dtype=np.int64)
+    out[np.ix_(order, order)] = beta
+    return out
+
+
+def test_d1_graph_is_its_quadratic_form():
+    """d1's support is all 2^20 points under every reading, so its graph is
+    Q's bilinear form in site order, and that is the mod-2 sum over the faces
+    of the face tensor's form laid along each face's rotated cycle: on the
+    default reading and 3 readings seeded from default_rng(7)."""
+    face = _site_beta(from_statevector(ame52_table1()))
+    pt = platonic("dodecahedron")
+    rng = np.random.default_rng(7)
+    for reading in [[0] * 12] + [rng.integers(0, 5, 12).tolist() for _ in range(3)]:
+        state = from_statevector(build_d1(reading))
+        assert state.code.k == 20
+        adj = np.array([[r >> (19 - j) & 1 for j in range(20)] for r in state.graph_rows])
+        assert np.array_equal(adj, _site_beta(state)), reading
+        summed = np.zeros((20, 20), dtype=np.int64)
+        for f, o in zip(pt.faces, reading):
+            cyc = list(_oriented_cycle(f, o))
+            summed[np.ix_(cyc, cyc)] += face
+        assert np.array_equal(adj, summed % 2), reading
 
 
 def test_engine_table_and_per_cut_calls_agree():
@@ -247,6 +277,20 @@ def test_d1_exhaustive_m6_census():
     values = entropies(exhaustive_masks(20, 6))
     assert backend == "stabilizer"
     assert Counter(values.tolist()) == {5.0: 9, 6.0: 38751}
+
+
+def test_d1_deficient_six_blocks_match_dense():
+    """The engine's table finds exactly nine 6-blocks of d1 with entropy 5;
+    the graph rank and the dense spectrum give 5 on each."""
+    sv = build_d1()
+    state = from_statevector(sv)
+    masks = exhaustive_masks(20, 6)
+    low = masks[entropy_engine(sv)[0](masks) == 5].tolist()
+    assert len(low) == 9
+    for mask in low:
+        sites = [j for j in range(1, 21) if mask >> (20 - j) & 1]
+        assert stabilizer_entropy(state, [s - 1 for s in sites]) == 5
+        assert entropy(sv, Bipartition(20, sites)) == pytest.approx(5.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("sites", [(1, 6, 7, 11, 14, 16, 17, 20), (2, 5, 9, 10, 11, 12, 18, 19)])
