@@ -4,17 +4,16 @@ A k-dimensional code C over GF(p) of length n represents the normalized state
 (1/sqrt(p^k)) sum_{x in GF(p)^k} |x G>. Entanglement entropies of such states
 are exact integers in dits: S_A = rank(G_A) + rank(G_B) - k, with G_A, G_B the
 generator restricted to the two sides of the cut. It stays exact where dense
-vectors are infeasible. For p = 2 the state is the stabilizer state with
-check matrix [G | 0 ; 0 | H], H = nullspace(G), and `code_entropy` takes the
-one qubit formula of `graph_entropy` instead. Every qubit stabilizer state is
+vectors are infeasible. For p = 2 `code_entropy` reads the state's graph form
+instead, the one qubit cut representation: every qubit stabilizer state is
 locally Clifford-equivalent to a graph state Gamma (Van den Nest, Dehaene &
-De Moor, PRA 69, 022316 (2004)), and S(A) = rank Gamma[A, B] (Hein, Eisert &
-Briegel, PRA 69, 062311 (2004)): |A| vectors of n bits per cut, against the
-2 min(|A|, |B|) site columns of rank M_A - |A|. `CheckMatrix.graph_rows`
-builds Gamma from G and Q's bilinear form. `check_entropy_table` gives every
-cut's entropy at once from the check rows instead, from the number of
-elements of their group supported inside each cut, so the table and the
-per-cut rank come from two representations.
+De Moor, PRA 69, 022316 (2004)), entropies are invariant under local
+Cliffords, and S(A) = rank Gamma[A, B] (Hein, Eisert & Briegel, PRA 69,
+062311 (2004)), |A| vectors of n bits per cut. `GraphForm.graph_rows` builds
+Gamma from G and Q's bilinear form. `check_entropy_table` gives every cut's
+entropy at once from the same rows: Gamma's graph state is stabilised by the
+group generated by X(e_j) Z(Gamma_j), and the table counts its elements
+supported inside each cut.
 
 A code state with k = n/2 is AME iff the code is MDS (Helwig, Cui, Latorre,
 Riera & Lo, PRA 86, 052335 (2012)), that is iff every square submatrix of A
@@ -49,17 +48,12 @@ ENUM_BUDGET = 2**26
 AME_CHUNK = 64
 
 
-class CheckMatrix:
-    """A qubit state sum_u (-1)^Q(u) |x0 + u G>, G of size k x n, in two
-    forms. `check_rows`: the n x 2n 0/1 `check_bits` (X columns, then Z
-    columns) as 2n-bit rows, X bits above Z. `graph_rows`: the adjacency
-    matrix of a graph state locally Clifford-equivalent to it, as n-bit rows,
-    site 0 the top bit. Subclasses give G and Q's bilinear form beta
+class GraphForm:
+    """A qubit state sum_u (-1)^Q(u) |x0 + u G>, G of size k x n, by the
+    adjacency matrix of a graph state locally Clifford-equivalent to it
+    (`graph_rows`, n-bit rows, site 0 the top bit), which has the same
+    entropy on every cut. Subclasses give G and Q's bilinear form beta
     (`form`)."""
-
-    @cached_property
-    def check_rows(self) -> list[int]:
-        return pack_rows(self.check_bits)
 
     @cached_property
     def graph_rows(self) -> list[int]:
@@ -80,7 +74,7 @@ class CheckMatrix:
 
 
 @dataclass(frozen=True)
-class LinearCodeState(CheckMatrix):
+class LinearCodeState(GraphForm):
     p: int
     n: int
     gen: GfMatrix
@@ -97,12 +91,6 @@ class LinearCodeState(CheckMatrix):
     @property
     def k(self) -> int:
         return self.gen.rows
-
-    @cached_property
-    def check_bits(self) -> np.ndarray:
-        """[G | 0 ; 0 | H], H = nullspace(G); p = 2 only."""
-        g, h = self.gen.a, nullspace(self.gen).a
-        return np.block([[g, 0 * g], [0 * h, h]]).astype(np.uint8)
 
     @property
     def form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,16 +240,20 @@ def graph_entropy(rows: list[int], a) -> int:
     return rank2(picked, min(size, n - size), in_a ^ (1 << n) - 1)
 
 
-def check_entropy_table(rows: list[int], n: int) -> np.ndarray:
+def check_entropy_table(rows: list[int]) -> np.ndarray:
     """The entropy of every cut at once, as an int8 array indexed by the
-    site mask: S(A) = |A| - log2 N(A), N(A) the number of elements of the
-    group generated by the n check rows that are supported inside A
-    (Fattal et al., quant-ph/0406168). The 2^n elements come from the rows
-    by XOR doubling, and N for every mask from one histogram of their
-    support masks and an n-pass subset-sum (zeta) transform."""
-    group = np.zeros(1 << len(rows), dtype=np.int64)
+    site mask, from the `graph_rows` `rows`: S(A) = |A| - log2 N(A), N(A)
+    the number of elements of the state's stabilizer group supported inside
+    A (Fattal et al., quant-ph/0406168). Gamma's graph state has the same
+    entropies and is stabilised by the group of the n check rows
+    X(e_j) Z(Gamma_j), packed as 2n-bit rows, X bits above Z bits. Their
+    2^n elements come by XOR doubling, and N for every mask from one
+    histogram of their support masks and an n-pass subset-sum (zeta)
+    transform."""
+    n = len(rows)
+    group = np.zeros(1 << n, dtype=np.int64)
     for j, r in enumerate(rows):
-        np.bitwise_xor(group[: 1 << j], r, out=group[1 << j : 2 << j])
+        np.bitwise_xor(group[: 1 << j], 1 << (2 * n - 1 - j) | r, out=group[1 << j : 2 << j])
     supports = group >> n
     supports |= group
     supports &= (1 << n) - 1

@@ -329,19 +329,18 @@ def batch_entropies(sv: StateVector, bps: list) -> list[float]:
 
 def entropy_engine(state) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """The one place that picks how a state's cut entropies are computed.
-    A LinearCodeState uses `code_entropy` (CODE_RANK), for p = 2 the
-    STABILIZER formula with Z = 0. A dense state is recognised once as a
-    stabilizer state and uses the rank formula of its check matrix
+    A LinearCodeState uses `code_entropy` (CODE_RANK), for p = 2 the rank
+    formula of its graph form. A dense state is recognised once as a
+    stabilizer state and uses the rank formula of its graph form
     (STABILIZER), else dense spectra (DENSE). Returns the function from
     cut masks (int64, site 1 the top bit, each in 1..2^n - 2) to their
     entropies (bits, float64), and the backend's name. A state of more than
     MASK_MAX_SITES sites raises TooLarge.
 
     A qubit state of at most TABLE_MAX_SITES sites answers a call of at
-    least 2^n / n cuts from `check_entropy_table` of its check rows, built
-    on the first such call and kept; smaller calls rank each cut's smaller
-    side with `graph_entropy` of its graph rows. Both give the same
-    integers."""
+    least 2^n / n cuts from `check_entropy_table`, built on the first such
+    call and kept; smaller calls rank each cut's smaller side with
+    `graph_entropy`. Both read the state's graph rows."""
     n = state.n
     if n > MASK_MAX_SITES:
         raise TooLarge(f"{n} sites do not fit a {MASK_MAX_SITES}-site cut mask")
@@ -375,7 +374,7 @@ def entropy_engine(state) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
         if qubits is None or n > TABLE_MAX_SITES or len(masks) * n < 1 << n:
             return np.array([per_cut(mask) for mask in masks.tolist()], dtype=np.float64)
         if table is None:
-            table = check_entropy_table(qubits.check_rows, n)
+            table = check_entropy_table(qubits.graph_rows)
         return table[masks].astype(np.float64)
 
     return entropies, backend

@@ -8,23 +8,17 @@ sign of a quadratic form:
 
 with G a k x n generator (a LinearCodeState), x0 a shift and
 Q(u) = q0 + sum_i q_ii u_i + sum_{i<j} q_ij u_i u_j. Its entanglement
-entropies are integers (bits), read off its n x 2n check matrix
-(Fattal et al., quant-ph/0406168; Aaronson & Gottesman, PRA 70, 052328):
-
-    M = [G | Z]    S(A) = rank M_A - |A|,
-        [0 | H]
-
-with M_A the X and Z columns of the sites in A. X(g_i) Z(z_i) and Z(h)
-stabilise the state when z_i . g_j = beta_ij, beta(u, v) = Q(u+v) + Q(u) +
-Q(v) + q0 being Q's alternating bilinear form, and h runs over a basis of
-the dual code H = nullspace(G). The group the rows generate has 2^n
-elements, and S(A) = |A| - log2 N(A) with N(A) the number supported inside
-A; `codes.check_entropy_table` reads every cut at once that way.
-
-A single cut takes the state's graph form instead (`CheckMatrix.graph_rows`,
-built from G and beta): S(A) = rank Gamma[A, B] over GF(2), which
-`codes.graph_entropy` ranks as |A| rows of n bits. With beta = 0 it is the
-code state's graph, which `code_entropy` ranks the same way for p = 2.
+entropies are integers (bits), and local Cliffords leave them unchanged.
+The state is locally Clifford-equivalent to a graph state Gamma
+(`GraphForm.graph_rows`, built from G and Q's alternating bilinear form
+beta(u, v) = Q(u+v) + Q(u) + Q(v) + q0), so S(A) = rank Gamma[A, B] over
+GF(2) (Hein, Eisert & Briegel, PRA 69, 062311 (2004)), which
+`codes.graph_entropy` ranks as |A| rows of n bits. The checks X(e_j)
+Z(Gamma_j) generate a group of 2^n elements, and S(A) = |A| - log2 N(A)
+with N(A) the number supported inside A (Fattal et al., quant-ph/0406168);
+`codes.check_entropy_table` reads every cut at once that way. With beta = 0
+Gamma is the code state's graph, which `code_entropy` ranks the same way
+for p = 2.
 
 `from_statevector` recognises such a state in a dense qubit vector. It reads
 (G, x0, Q) from the support and the signs, checks the support and the signs
@@ -35,16 +29,15 @@ building that vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from .codes import CheckMatrix, LinearCodeState, graph_entropy
-from .errors import InvalidCode
-from .gf import GfMatrix, rref
-from .states import StateVector
+from .codes import GraphForm, LinearCodeState, graph_entropy
+from .errors import InvalidCode, TooLarge
+from .gf import GfMatrix, pack_rows
+from .states import DENSE_BUDGET, StateVector
 
 # Largest Euclidean distance from the ideal vector at which a dense vector
 # is taken as a stabilizer state. By the Fannes-Audenaert inequality every
@@ -57,7 +50,7 @@ DISTANCE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
-class StabilizerState(CheckMatrix):
+class StabilizerState(GraphForm):
     """Amplitude 2^(-k/2) (-1)^Q(u) on the basis state x0 + uG, 0 elsewhere.
 
     `shift` is x0 as a basis index (site 1 most significant); `q` is the
@@ -88,27 +81,17 @@ class StabilizerState(CheckMatrix):
         q = np.triu(np.asarray(self.q, dtype=np.int64), 1)
         return self.code.gen.a, q + q.T
 
-    @cached_property
-    def check_bits(self) -> np.ndarray:
-        """[G | Z ; 0 | H]: the code's `check_bits` with Z in the G rows.
-        With E G the reduced form of G and p_l its pivots, G P E = I for P
-        the pivot selector, so Z = beta E^T P^T."""
-        k, n = self.code.k, self.code.n
-        beta = self.form[1]
-        red, pivots = rref(GfMatrix(np.hstack([self.code.gen.a, np.eye(k, dtype=np.int64)]), 2))
-        bits = self.code.check_bits.copy()
-        bits[:k, n:][:, pivots] = beta @ red.a[:, n:].T % 2
-        return bits
-
     def amplitudes(self) -> np.ndarray:
-        """The dense 2^n vector. Points are built by doubling, like the signs
-        (`_signs`): the points of span(g_0..g_j) are those of
-        span(g_0..g_{j-1}) and the same plus g_j."""
+        """The dense 2^n vector, within DENSE_BUDGET amplitudes. Points are
+        built by doubling, like the signs (`_signs`): the points of
+        span(g_0..g_j) are those of span(g_0..g_{j-1}) and the same plus g_j."""
         k, n = self.code.k, self.code.n
+        if 1 << n > DENSE_BUDGET:
+            raise TooLarge(f"dense vector 2^{n} exceeds budget {DENSE_BUDGET}")
         pts = np.empty(1 << k, dtype=np.int64)
         pts[0] = self.shift
-        for j, row in enumerate(self.code.check_rows[:k]):
-            np.bitwise_xor(pts[: 1 << j], row >> n, out=pts[1 << j : 2 << j])
+        for j, row in enumerate(pack_rows(self.code.gen.a)):
+            np.bitwise_xor(pts[: 1 << j], row, out=pts[1 << j : 2 << j])
         c = 2.0 ** (-k / 2)
         amps = np.zeros(1 << n, dtype=np.float64)
         amps[pts] = np.where(_signs(self.q, self.q0), -c, c)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyame import codes
+from polyame import codes, gf
 from polyame.codes import (
     LinearCodeState,
     code_entropy,
@@ -223,15 +223,19 @@ def test_code_entropy_rejects_out_of_range_sites():
             entropies([mask])
 
 
-def test_graph_rows_are_built_on_first_use():
-    """A code state builds no check matrix or graph until its first p = 2
-    entropy, which keeps the graph rows: a symmetric adjacency matrix with a
-    zero diagonal. With beta = 0 every edge joins a pivot site of G to a
-    non-pivot site."""
+def test_graph_rows_are_built_on_first_use(monkeypatch):
+    """A code state carries no check matrix. Its first p = 2 entropy builds
+    the graph rows by one row reduction, and later ones reuse them: a
+    symmetric adjacency matrix with a zero diagonal. With beta = 0 every
+    edge joins a pivot site of G to a non-pivot site."""
     cs = from_parity_checks(face_parity_matrix(platonic("dodecahedron")))
-    assert not {"check_bits", "check_rows", "graph_rows"} & cs.__dict__.keys()
+    assert not hasattr(cs, "check_bits") and not hasattr(cs, "check_rows")
+    reductions = []
+    real = gf.eliminate
+    monkeypatch.setattr(gf, "eliminate", lambda *args: reductions.append(args) or real(*args))
     code_entropy(cs, [0, 1])
-    assert "graph_rows" in cs.__dict__ and "check_bits" not in cs.__dict__
+    code_entropy(cs, [2, 3, 4])
+    assert len(reductions) == 1
     n = cs.n
     assert len(cs.graph_rows) == n
     adj = np.array([[r >> (n - 1 - j) & 1 for j in range(n)] for r in cs.graph_rows])

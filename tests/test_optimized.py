@@ -24,7 +24,7 @@ SCRIPT = textwrap.dedent(
         BadStateFile, InvalidContraction, InvalidCut, NoOppositeFace, NotPrime, TooLarge)
     from polyame.gf import GfMatrix
     from polyame.polytope import Polytope, face_parity_matrix, opposite_face_pair, platonic
-    from polyame.stabilizer import from_statevector
+    from polyame.stabilizer import StabilizerState, from_statevector
     from polyame.stateio import read_state
     from polyame.states import ame52_table1, ame62, normalized
 
@@ -79,6 +79,9 @@ SCRIPT = textwrap.dedent(
         # k = 16: C(16, 8)^2 minors of size 8 exceed DENSE_BUDGET.
         "ame_minor_budget": (TooLarge, lambda: is_ame_code(rs_code_state(31))),
         "contraction_budget": (TooLarge, over_budget),
+        # 2^27 amplitudes, over DENSE_BUDGET; k = 1 builds nothing before the check
+        "stabilizer_dense_budget": (TooLarge, lambda: StabilizerState(
+            LinearCodeState(2, 27, GfMatrix([[1] * 27], 2)), 0, [[0]]).amplitudes()),
         "opposite_face": (NoOppositeFace, lambda: opposite_face_pair(prism, 2)),
     }
     for name, (exc, make) in cases.items():

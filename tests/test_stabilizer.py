@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyame import stabilizer
+from polyame import gf, stabilizer
 from polyame.codes import (
     LinearCodeState,
     check_entropy_table,
@@ -33,7 +33,7 @@ from polyame.entropy import (
     verify_ame,
 )
 from polyame.errors import InvalidCode
-from polyame.gf import GfMatrix, rank, rank2, rref
+from polyame.gf import GfMatrix, nullspace, pack_rows, rank, rank2, rref
 from polyame.polytope import face_parity_matrix, platonic
 from polyame.stabilizer import StabilizerState, from_statevector, stabilizer_entropy
 from polyame.states import StateVector, ame43, ame52_table1, normalized
@@ -62,12 +62,44 @@ def _symplectic(x: int, y: int, n: int) -> int:
     return ((x >> n & y & low).bit_count() + (y >> n & x & low).bit_count()) % 2
 
 
+def _check_rows(state) -> list[int]:
+    """Test oracle, a second qubit representation that the package does not
+    use: the n x 2n check matrix [G | Z ; 0 | H] of a stabilizer or p = 2
+    code state, as 2n-bit rows, X bits above Z bits (Fattal et al.,
+    quant-ph/0406168). H = nullspace(G), and X(g_i) Z(z_i) stabilises the
+    state when z_i . g_j = beta_ij. With E G the reduced form of G and P the
+    selector of its pivots, G P E = I, so Z = beta E^T P^T."""
+    g, beta = state.form
+    k, n = g.shape
+    h = nullspace(GfMatrix(g, 2)).a
+    bits = np.block([[g, 0 * g], [0 * h, h]])
+    red, pivots = rref(GfMatrix(np.hstack([g, np.eye(k, dtype=np.int64)]), 2))
+    bits[:k, n:][:, pivots] = beta @ red.a[:, n:].T % 2
+    return pack_rows(bits)
+
+
+def _check_table(rows: list[int], n: int) -> np.ndarray:
+    """Every cut's entropy from n 2n-bit check rows, |A| - log2 N(A), with
+    N(A) the elements of their group supported inside A counted by a
+    histogram of the support masks and a subset-sum transform."""
+    group = np.zeros(1 << n, dtype=np.int64)
+    for j, r in enumerate(rows):
+        np.bitwise_xor(group[: 1 << j], r, out=group[1 << j : 2 << j])
+    count = np.bincount((group >> n | group) & (1 << n) - 1, minlength=1 << n)
+    size = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        halves = count.reshape(-1, 2, 1 << i)
+        halves[:, 1] += halves[:, 0]
+        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
+    return size - (np.frexp(count)[1] - 1).astype(np.int8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(stabilizer_states())
 def test_rank_formula_matches_dense_spectrum(state):
     n = state.code.n
     sv = StateVector(n, 2, state.amplitudes())
-    rows = state.check_rows
+    rows = _check_rows(state)
     # n commuting, independent Pauli checks: a complete stabilizer group.
     assert len(rows) == n and rank2(rows, n) == n
     assert not any(_symplectic(x, y, n) for x, y in combinations(rows, 2))
@@ -75,12 +107,16 @@ def test_rank_formula_matches_dense_spectrum(state):
     assert found is not None and found.code.k == state.code.k
     code = state.code
     # The code state's checks [G | 0 ; 0 | H] form a complete group as well.
-    code_rows = code.check_rows
+    code_rows = _check_rows(code)
     assert len(code_rows) == n and rank2(code_rows, n) == n
     assert not any(_symplectic(x, y, n) for x, y in combinations(code_rows, 2))
     code_sv = dense_statevector(code)
     flat = StabilizerState(code, state.shift, np.zeros_like(state.q))
-    table, code_table = check_entropy_table(rows, n), check_entropy_table(code_rows, n)
+    table = check_entropy_table(state.graph_rows)
+    code_table = check_entropy_table(code.graph_rows)
+    # The tables from the graph rows are those of the check-matrix oracle.
+    assert np.array_equal(table, _check_table(rows, n))
+    assert np.array_equal(code_table, _check_table(code_rows, n))
     assert table[0] == table[-1] == code_table[0] == code_table[-1] == 0
     for m in range(1, n):
         for sites in combinations(range(1, n + 1), m):
@@ -215,14 +251,16 @@ def _d2_code():
     ids=["hovering", "d1", "d2-code"],
 )
 def test_table_matches_per_cut_rank(state):
-    """The subset-count table of the check rows against the per-cut rank of
-    the graph rows, on every cut of at most 6 or at least n - 6 sites (every
-    cut of the 12-site state) and on 2,000 cuts, drawn with seed 16, of
-    each block size in between."""
+    """The subset-count table of the graph rows against the check-matrix
+    oracle's table on all 2^n cuts, and against the per-cut rank of the
+    graph rows on every cut of at most 6 or at least n - 6 sites (every cut
+    of the 12-site state) and on 2,000 cuts, drawn with seed 16, of each
+    block size in between."""
     qubits = state()
-    n = len(qubits.check_rows)  # a complete set of checks: one row per site
-    table = check_entropy_table(qubits.check_rows, n)
+    n = len(qubits.graph_rows)
+    table = check_entropy_table(qubits.graph_rows)
     assert table.shape == (1 << n,)
+    assert np.array_equal(table, _check_table(_check_rows(qubits), n))
     for m in range(n + 1):
         if 6 < m < n - 6:
             cuts = [[s - 1 for s in bp.a_sites] for bp in sample_partitions(n, m, 2000, seed=16)]
@@ -264,12 +302,34 @@ def test_d1_graph_is_its_quadratic_form():
 
 
 def test_engine_table_and_per_cut_calls_agree():
-    """A call of at least 2^n / n cuts reads the table; single cuts rank."""
-    sv = build_hovering()
-    masks = exhaustive_masks(sv.n, sv.n // 2)
-    entropies, backend = entropy_engine(sv)
-    assert backend == "stabilizer"
-    assert entropies(masks).tolist() == [entropies([x])[0] for x in masks.tolist()]
+    """A call of at least 2^n / n cuts reads the table; single cuts rank. On
+    the hovering state's 924 balanced cuts and, in one call, the d2 code
+    state's 60,459 cuts of at most 6 sites."""
+    for state, sizes, backend in (
+        (build_hovering(), [6], "stabilizer"),
+        (_d2_code(), range(1, 7), "code-rank"),
+    ):
+        masks = np.concatenate([exhaustive_masks(state.n, m) for m in sizes])
+        assert len(masks) * state.n >= 1 << state.n
+        entropies, found = entropy_engine(state)
+        assert found == backend
+        assert entropies(masks).tolist() == [entropies([x])[0] for x in masks.tolist()]
+
+
+@pytest.mark.parametrize("state", [build_hovering, _d2_code], ids=["hovering", "d2-code"])
+def test_one_row_reduction_per_state(state, monkeypatch):
+    """The engine's table call and its per-cut call both read the state's
+    graph rows, built by one row reduction of [G | I]."""
+    built = state()
+    reductions = []
+    real = gf.eliminate
+    monkeypatch.setattr(gf, "eliminate", lambda *args: reductions.append(args) or real(*args))
+    entropies = entropy_engine(built)[0]
+    masks = exhaustive_masks(built.n, built.n // 2)
+    assert len(masks) * built.n >= 1 << built.n  # the table call
+    entropies(masks)
+    entropies(masks[:1])
+    assert len(reductions) == 1
 
 
 def test_d1_exhaustive_m6_census():
